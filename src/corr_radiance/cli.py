@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,13 +21,16 @@ import numpy as np
 from . import verify as verify_mod
 from .correlations import discord_to_c
 from .emission import (
+    STATISTICS,
     DetectionGeometry,
-    classify,
     find_statistics_transition,
-    g2_closed_werner,
-    intensity_closed_x,
+    werner_emission,
+    werner_intensity,
 )
-from .qstate import XStateParams
+
+# The scalar kernels stay bound here, although the sweeps run on arrays:
+# the benchmark's tracer (bench/tracing.py) wraps them by these names.
+from .emission import classify, g2_closed_werner, intensity_closed_x  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,6 +38,9 @@ EXIT_VERIFY = 2
 EXIT_IO = 3
 
 COMMANDS = ("fig2", "fig3", "fig4", "fig5", "transition", "verify")
+
+# largest table a command may write; larger grids fail before anything is built
+MAX_TABLE_ROWS = 2**22
 
 # band around g2 = 1 treated as an exact crossing in the fig5 marker
 _CROSSING_TOL = 1e-12
@@ -50,6 +57,14 @@ class RunConfig:
     out: str | None = None
     tol_scale: float = 1.0
 
+    def table_rows(self) -> int:
+        """Rows the command writes as a table; 0 for those without a grid."""
+        if self.command in ("fig2", "fig4"):
+            return self.grid_d * self.grid_b
+        if self.command in ("fig3", "fig5"):
+            return self.grid_d
+        return 0
+
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
@@ -59,58 +74,153 @@ class RunConfig:
             raise ValueError(f"--grid-d needs at least 2 samples, got {self.grid_d}")
         if self.grid_b < 2:
             raise ValueError(f"--grid-b needs at least 2 samples, got {self.grid_b}")
+        if self.table_rows() > MAX_TABLE_ROWS:
+            raise ValueError(
+                f"{self.command} would write {self.table_rows()} rows, more than the "
+                f"limit of {MAX_TABLE_ROWS}; lower --grid-d or --grid-b"
+            )
         if not -1.0 <= self.sin_beta <= 1.0:
             raise ValueError(f"--sin-beta must lie in [-1, 1], got {self.sin_beta}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"--format must be csv or json, got {self.format!r}")
-        if self.tol_scale < 0.0:
-            raise ValueError(f"--tol-scale must be nonnegative, got {self.tol_scale}")
+        if not (math.isfinite(self.tol_scale) and self.tol_scale >= 0.0):
+            raise ValueError(f"--tol-scale must be finite and nonnegative, got {self.tol_scale}")
+
+
+@dataclass(frozen=True)
+class Labels:
+    """A text column: cell i is ``names[codes[i]]``."""
+
+    codes: np.ndarray
+    names: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+class _Rows(Sequence):
+    """Row view of a column table; a row is a tuple of float, None and str."""
+
+    def __init__(self, data: tuple[np.ndarray | Labels, ...]):
+        self._data = data
+
+    def __len__(self) -> int:
+        return len(self._data[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        row = []
+        for col in self._data:
+            if isinstance(col, Labels):
+                row.append(col.names[col.codes[i]])
+            else:
+                value = float(col[i])
+                row.append(None if math.isnan(value) else value)
+        return tuple(row)
 
 
 @dataclass(frozen=True)
 class Table:
+    """A table held by column: each column is Labels or a float64 array in
+    which NaN marks an empty cell (an undefined g2, a missing root)."""
+
     columns: tuple[str, ...]
-    rows: list[tuple]
+    data: tuple[np.ndarray | Labels, ...]
+
+    @property
+    def rows(self) -> _Rows:
+        return _Rows(self.data)
+
+    @classmethod
+    def from_rows(cls, columns: tuple[str, ...], rows: list[tuple]) -> "Table":
+        """Columns from row tuples; a column whose first cell is a str is text."""
+        data = []
+        for cells in zip(*rows):
+            if isinstance(cells[0], str):
+                names = tuple(dict.fromkeys(cells))
+                code = {name: i for i, name in enumerate(names)}
+                data.append(Labels(np.array([code[cell] for cell in cells]), names))
+            else:
+                data.append(np.array([math.nan if c is None else c for c in cells], dtype=float))
+        return cls(columns, tuple(data))
 
 
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
 
-def _fmt(cell) -> str:
-    if cell is None:
-        return ""
-    if isinstance(cell, float):
-        return f"{cell:.12g}"
-    return str(cell)
+def _csv_floats(values: np.ndarray) -> list[str]:
+    tokens = list(map("{:.12g}".format, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)):
+        tokens[i] = ""
+    return tokens
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    # round through the CSV formatting so both formats agree digit for digit;
+    # json.dumps writes a finite float as its repr
+    tokens = list(map(repr, map(float, map("{:.12g}".format, values.tolist()))))
+    for i in np.flatnonzero(~np.isfinite(values)):
+        tokens[i] = "null" if np.isnan(values[i]) else json.dumps(float(values[i]))
+    return tokens
+
+
+def _cells(col: np.ndarray | Labels, rows: slice, float_tokens, text_token, prefix: str) -> list[str]:
+    """``prefix`` + token of each cell in ``rows``, each distinct value formatted once.
+
+    Floats are told apart by bit pattern, so -0.0 and 0.0 stay distinct.
+    """
+    if isinstance(col, Labels):
+        tokens = list(map(text_token, col.names))
+        index = col.codes[rows]
+    else:
+        bits, index = np.unique(np.asarray(col[rows], dtype=float).view(np.int64),
+                                return_inverse=True)
+        tokens = float_tokens(bits.view(np.float64))
+    return np.array(list(map(prefix.__add__, tokens)), dtype=object)[index].tolist()
+
+
+# rows rendered at a time: the formatted cells of one block are alive at once
+_BLOCK_ROWS = 1 << 12
+
+
+def _row_blocks(table: Table, float_tokens, text_token, prefixes):
+    """For each block of rows, an iterator over the rows as tuples of cell tokens."""
+    for start in range(0, len(table.rows), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        yield zip(*(_cells(col, rows, float_tokens, text_token, prefix)
+                    for col, prefix in zip(table.data, prefixes)))
 
 
 def render_csv(table: Table) -> str:
-    lines = [",".join(table.columns)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in table.rows)
-    return "\n".join(lines) + "\n"
+    blocks = _row_blocks(table, _csv_floats, str, [""] * len(table.columns))
+    lines = ("\n".join(map(",".join, rows)) for rows in blocks)
+    return "\n".join([",".join(table.columns), *lines]) + "\n"
 
 
 def render_json(table: Table, cfg: RunConfig) -> str:
-    rows = []
-    for row in table.rows:
-        record = {}
-        for name, cell in zip(table.columns, row):
-            # round through the CSV formatting so both formats agree digit for digit
-            record[name] = float(f"{cell:.12g}") if isinstance(cell, float) else cell
-        rows.append(record)
-    payload = {
-        "config": {
-            "command": cfg.command,
-            "kl": cfg.kl,
-            "grid_d": cfg.grid_d,
-            "grid_b": cfg.grid_b,
-            "sin_beta": cfg.sin_beta,
-            "format": cfg.format,
-        },
-        "rows": rows,
+    """The text of ``json.dumps(payload, indent=2)`` without building the rows."""
+    config = {
+        "command": cfg.command,
+        "kl": cfg.kl,
+        "grid_d": cfg.grid_d,
+        "grid_b": cfg.grid_b,
+        "sin_beta": cfg.sin_beta,
+        "format": cfg.format,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    text = json.dumps({"config": config, "rows": []}, indent=2)
+    if not len(table.rows):
+        return text + "\n"
+    prefixes = [f"      {json.dumps(name)}: " for name in table.columns]
+    between = "\n    },\n    {\n"
+    parts = [text.removesuffix("[]\n}") + "[\n    {\n"]
+    for block in _row_blocks(table, _json_floats, json.dumps, prefixes):
+        if len(parts) > 1:
+            parts.append(between)
+        parts.append(between.join(map(",\n".join, block)))
+    parts.append("\n    }\n  ]\n}\n")
+    return "".join(parts)
 
 
 def render(table: Table, cfg: RunConfig) -> str:
@@ -130,78 +240,90 @@ def _emit(text: str, out: str | None) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def _discord_axis(cfg: RunConfig) -> list[tuple[float, float]]:
-    return [(float(d), discord_to_c(float(d))) for d in np.linspace(0.0, 1.0, cfg.grid_d)]
+def _discord_axis(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    d = np.linspace(0.0, 1.0, cfg.grid_d)
+    # row by row, not discord_to_c_array: bench/test_bench.py asserts one
+    # traced discord_to_c call per axis row
+    return d, np.array([discord_to_c(x) for x in d.tolist()])
+
+
+def _cos_phase(kl: float, sin_beta: float) -> float:
+    # math, not numpy: the last ulp of a transcendental is not portable
+    return math.cos(DetectionGeometry.from_sin_beta(kl, sin_beta).phase)
+
+
+def _plane(cfg: RunConfig) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """The (D, c, sin beta) columns of the grid, D-major, with c and cos phase
+    shaped to broadcast to (grid_d, grid_b)."""
+    d, c = _discord_axis(cfg)
+    sin_betas = np.linspace(-1.0, 1.0, cfg.grid_b)
+    cos_phase = np.array([_cos_phase(cfg.kl, s) for s in sin_betas.tolist()])
+    n = cfg.grid_b
+    columns = (np.repeat(d, n), np.repeat(c, n), np.tile(sin_betas, cfg.grid_d))
+    return columns, c[:, None], cos_phase[None, :]
+
+
+_STATISTICS_NAMES = tuple(s.value for s in STATISTICS)
+_FLAG_NAMES = ("", "undefined")
 
 
 def cmd_fig2(cfg: RunConfig) -> Table:
     """Intensity over the (discord, sin beta) plane for Werner states."""
-    sin_betas = np.linspace(-1.0, 1.0, cfg.grid_b)
-    geoms = [DetectionGeometry.from_sin_beta(cfg.kl, float(s)) for s in sin_betas]
-    rows = []
-    for d, c in _discord_axis(cfg):
-        p = XStateParams(-c, -c, -c)
-        for s, geom in zip(sin_betas, geoms):
-            rows.append((d, c, float(s), intensity_closed_x(p, geom)))
-    return Table(("D", "c", "sin_beta", "I"), rows)
+    columns, c, cos_phase = _plane(cfg)
+    intensity = werner_intensity(c, cos_phase)
+    return Table(("D", "c", "sin_beta", "I"), (*columns, intensity.ravel()))
 
 
 def cmd_fig3(cfg: RunConfig) -> Table:
     """Intensity against discord along the two extreme observation angles."""
-    geom_fwd = DetectionGeometry.from_sin_beta(cfg.kl, 1.0)
-    geom_bwd = DetectionGeometry.from_sin_beta(cfg.kl, 0.0)
-    rows = []
-    for d, c in _discord_axis(cfg):
-        p = XStateParams(-c, -c, -c)
-        rows.append((d, c, intensity_closed_x(p, geom_fwd), intensity_closed_x(p, geom_bwd)))
-    return Table(("D", "c", "I_sinb1", "I_sinb0"), rows)
+    d, c = _discord_axis(cfg)
+    forward = werner_intensity(c, _cos_phase(cfg.kl, 1.0))
+    backward = werner_intensity(c, _cos_phase(cfg.kl, 0.0))
+    return Table(("D", "c", "I_sinb1", "I_sinb0"), (d, c, forward, backward))
 
 
 def cmd_fig4(cfg: RunConfig) -> Table:
     """g2 over the (discord, sin beta) plane, flagging undefined points."""
-    sin_betas = np.linspace(-1.0, 1.0, cfg.grid_b)
-    geoms = [DetectionGeometry.from_sin_beta(cfg.kl, float(s)) for s in sin_betas]
-    rows = []
-    for d, c in _discord_axis(cfg):
-        p = XStateParams(-c, -c, -c)
-        for s, geom in zip(sin_betas, geoms):
-            g2 = g2_closed_werner(c, geom)
-            report = classify(intensity_closed_x(p, geom), g2)
-            flag = "undefined" if g2 is None else ""
-            rows.append((d, c, float(s), g2, report.statistics.value, flag))
-    return Table(("D", "c", "sin_beta", "g2", "statistics", "flag"), rows)
+    columns, c, cos_phase = _plane(cfg)
+    e = werner_emission(c, cos_phase)
+    return Table(
+        ("D", "c", "sin_beta", "g2", "statistics", "flag"),
+        (
+            *columns,
+            e.g2.ravel(),
+            Labels(e.statistics.ravel(), _STATISTICS_NAMES),
+            Labels(e.undefined.ravel().view(np.int8), _FLAG_NAMES),
+        ),
+    )
 
 
 def cmd_fig5(cfg: RunConfig) -> Table:
-    """g2 against discord at a fixed angle, marking where it crosses 1."""
-    geom = DetectionGeometry.from_sin_beta(cfg.kl, cfg.sin_beta)
-    entries = []
-    for d, c in _discord_axis(cfg):
-        p = XStateParams(-c, -c, -c)
-        g2 = g2_closed_werner(c, geom)
-        report = classify(intensity_closed_x(p, geom), g2)
-        entries.append((d, c, g2, report.statistics.value))
+    """g2 against discord at a fixed angle, marking where it crosses 1.
 
-    marks = [""] * len(entries)
-    previous_sign = None
-    for i, (_, _, g2, _) in enumerate(entries):
-        if g2 is None:
-            continue
-        if abs(g2 - 1.0) <= _CROSSING_TOL:
-            sign = 0
-            if i > 0:
-                marks[i] = "crossing"
-        else:
-            sign = 1 if g2 > 1.0 else -1
-            if previous_sign in (1, -1) and sign != previous_sign:
-                marks[i] = "crossing"
-        previous_sign = sign
-
-    rows = []
-    for (d, c, g2, statistics), mark in zip(entries, marks):
-        flag = "undefined" if g2 is None else ""
-        rows.append((d, c, g2, statistics, flag, mark))
-    return Table(("D", "c", "g2", "statistics", "flag", "transition"), rows)
+    A defined point is marked when it lies within _CROSSING_TOL of 1 (except
+    in the first row), or when it lies on the other side of 1 than the
+    previous defined point and that point was not within _CROSSING_TOL of 1.
+    """
+    d, c = _discord_axis(cfg)
+    e = werner_emission(c, _cos_phase(cfg.kl, cfg.sin_beta))
+    defined = np.flatnonzero(~e.undefined)
+    g2 = e.g2[defined]
+    sign = np.where(np.abs(g2 - 1.0) <= _CROSSING_TOL, 0, np.where(g2 > 1.0, 1, -1))
+    previous = np.concatenate(([0], sign[:-1]))
+    crossing = np.where(sign == 0, defined > 0, (previous != 0) & (sign != previous))
+    marks = np.zeros(d.size, dtype=np.int8)
+    marks[defined[crossing]] = 1
+    return Table(
+        ("D", "c", "g2", "statistics", "flag", "transition"),
+        (
+            d,
+            c,
+            e.g2,
+            Labels(e.statistics, _STATISTICS_NAMES),
+            Labels(e.undefined.view(np.int8), _FLAG_NAMES),
+            Labels(marks, ("", "crossing")),
+        ),
+    )
 
 
 def cmd_transition(cfg: RunConfig) -> tuple[Table, str]:
@@ -217,7 +339,7 @@ def cmd_transition(cfg: RunConfig) -> tuple[Table, str]:
             f"transition: c_star={point.c_star:.12g}, D_t={point.discord:.12g} "
             f"(kl={cfg.kl:.12g}, sin_beta={cfg.sin_beta:.12g})"
         )
-    return Table(("kl", "sin_beta", "c_star", "D_t", "status"), [row]), summary
+    return Table.from_rows(("kl", "sin_beta", "c_star", "D_t", "status"), [row]), summary
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[Table, list[str], bool]:
@@ -232,7 +354,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[Table, list[str], bool]:
             f" (tolerance {r.tolerance:.3g})"
         )
         rows.append((r.name, r.max_deviation, r.tolerance, verdict))
-    table = Table(("suite", "max_deviation", "tolerance", "status"), rows)
+    table = Table.from_rows(("suite", "max_deviation", "tolerance", "status"), rows)
     return table, lines, all(r.passed for r in results)
 
 

@@ -224,6 +224,63 @@ def discord_to_c(d: float, tol: float = 1e-9) -> float:
     return mid
 
 
+# a bisection decision whose residual lies this close to 0 or to tol may flip
+# when np.log2 and math.log2 differ in the last ulp
+_RESIDUAL_GUARD = 1e-12
+
+
+def _xlog2_array(x: np.ndarray) -> np.ndarray:
+    positive = x > 0.0
+    return np.where(positive, x * np.log2(np.where(positive, x, 1.0)), 0.0)
+
+
+def discord_to_c_array(d: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """``discord_to_c`` over a 1-D array of targets, bit for bit.
+
+    Runs the scalar bisection step for step on every target at once, with the
+    same arithmetic order and ``np.log2`` in place of ``math.log2``.  The two
+    logarithms may differ in the last ulp, which can only matter where a
+    residual |D(mid) - d| comes within ``_RESIDUAL_GUARD`` of 0 or of ``tol``;
+    such targets are solved again by the scalar ``discord_to_c``.
+    """
+    d = np.asarray(d, dtype=float)
+    outside = ~((d >= 0.0) & (d <= 1.0))
+    if outside.any():
+        raise ValueError(
+            f"discord target {d[outside][0]} lies outside the attainable range [0, 1]"
+        )
+    c = np.where(d == 1.0, 1.0, 0.0)
+    recheck = np.zeros(d.shape, dtype=bool)
+    index = np.flatnonzero((d > 0.0) & (d < 1.0))
+    target = d[index]
+    lo = np.zeros(index.size)
+    hi = np.ones(index.size)
+    mid = np.full(index.size, 0.5)
+    floor = max(tol, 1e-15)
+    for _ in range(200):
+        if index.size == 0:
+            break
+        mid = 0.5 * (lo + hi)
+        value = (
+            0.25 * _xlog2_array(1.0 - mid)
+            - 0.5 * _xlog2_array(1.0 + mid)
+            + 0.25 * _xlog2_array(1.0 + 3.0 * mid)
+        )
+        residual = np.abs(value - target)
+        recheck[index] |= (residual < _RESIDUAL_GUARD) | (np.abs(residual - tol) < _RESIDUAL_GUARD)
+        done = (residual <= tol) & (hi - lo <= floor)
+        c[index[done]] = mid[done]
+        below = value < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        going = ~done
+        index, target, lo, hi, mid = index[going], target[going], lo[going], hi[going], mid[going]
+    c[index] = mid
+    for i in np.flatnonzero(recheck):
+        c[i] = discord_to_c(float(d[i]), tol)
+    return c
+
+
 def classify_correlations(c: float) -> CorrelationClass:
     """Correlation regime of the Werner state: classical, discordant, entangled."""
     if not 0.0 <= c <= 1.0:

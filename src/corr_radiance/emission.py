@@ -147,6 +147,58 @@ def g2_closed_werner(c: float, geom: DetectionGeometry) -> float | None:
     return (1.0 - c) / bracket**2
 
 
+# order of the integer statistics codes that werner_emission returns
+STATISTICS = tuple(PhotonStatistics)
+_CODE = {statistics: np.int8(code) for code, statistics in enumerate(STATISTICS)}
+
+
+@dataclass(frozen=True)
+class WernerEmission:
+    """Werner-state emission over a grid of (c, cos phase) points.
+
+    ``g2`` is NaN exactly where ``undefined`` is set; ``statistics`` holds
+    indices into ``STATISTICS``.
+    """
+
+    intensity: np.ndarray
+    g2: np.ndarray
+    undefined: np.ndarray
+    statistics: np.ndarray
+
+
+def werner_intensity(c: np.ndarray, cos_phase: np.ndarray) -> np.ndarray:
+    """``intensity_closed_x`` of the Werner states cx = cy = cz = -c over arrays,
+    in the scalar order of operations, so bit for bit equal to it."""
+    cx = -np.asarray(c, dtype=float)
+    return 1.0 + 0.5 * (cx + cx) * cos_phase
+
+
+def werner_emission(c: np.ndarray, cos_phase: np.ndarray) -> WernerEmission:
+    """``intensity_closed_x``, ``g2_closed_werner`` and ``classify`` over arrays.
+
+    ``c`` and ``cos_phase`` broadcast against each other.  Each point takes
+    the scalar functions' basic operations in their order, and the bracket is
+    squared by libm ``pow`` as in ``bracket**2``, so every value equals the
+    scalar result bit for bit; ``cos_phase`` should come from ``math.cos``.
+    """
+    c = np.asarray(c, dtype=float)
+    if not np.all((c >= 0.0) & (c <= 1.0)):
+        raise ValueError("Werner parameter c lies outside [0, 1]")
+    intensity = werner_intensity(c, cos_phase)
+    if not np.all(intensity >= 0.0):
+        raise ValueError("intensity must be nonnegative")
+    bracket = 1.0 - c * cos_phase
+    undefined = np.abs(bracket) < UNDEFINED_INTENSITY_TOL
+    # numpy squares by multiplication, which differs from pow in the last ulp
+    square = np.array([b**2 for b in bracket.ravel().tolist()]).reshape(bracket.shape)
+    g2 = np.divide(1.0 - c, square, out=np.full(bracket.shape, np.nan), where=~undefined)
+    statistics = np.full(bracket.shape, _CODE[PhotonStatistics.POISSONIAN])
+    statistics[g2 > 1.0 + CLASSIFY_TOL] = _CODE[PhotonStatistics.SUPER_POISSONIAN]
+    statistics[g2 < 1.0 - CLASSIFY_TOL] = _CODE[PhotonStatistics.SUB_POISSONIAN]
+    statistics[undefined] = _CODE[PhotonStatistics.UNDEFINED]
+    return WernerEmission(intensity, g2, undefined, statistics)
+
+
 def classify(intensity: float, g2: float | None) -> EmissionReport:
     """Label the radiance (intensity vs 1) and photon statistics (g2 vs 1).
 

@@ -1,16 +1,21 @@
 """Table shapes, formats, determinism, and exit codes of the front end."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
+from corr_radiance import verify
 from corr_radiance.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    MAX_TABLE_ROWS,
     RunConfig,
+    Table,
     cmd_fig2,
     cmd_fig3,
     cmd_fig4,
@@ -111,6 +116,13 @@ class TestRendering:
         assert len(payload["rows"]) == 3
         assert set(payload["rows"][0]) == {"D", "c", "I_sinb1", "I_sinb0"}
 
+    def test_negative_zero_keeps_its_sign(self):
+        # cells are memoised by bit pattern, and -0.0 == 0.0 as floats
+        table = Table(("x",), (np.array([0.0, -0.0, 0.0]),))
+        assert render_csv(table) == "x\n0\n-0\n0\n"
+        payload = json.loads(render_json(table, cfg("fig3", format="json")))
+        assert [math.copysign(1.0, r["x"]) for r in payload["rows"]] == [1.0, -1.0, 1.0]
+
     def test_json_undefined_becomes_null(self):
         config = cfg("fig4", grid_d=5, grid_b=5, format="json")
         payload = json.loads(render_json(cmd_fig4(config), config))
@@ -148,6 +160,9 @@ class TestMainEntry:
             ["fig5", "--sin-beta", "1.5"],
             ["fig2", "--format", "yaml"],
             ["unknown-command"],
+            ["verify", "--tol-scale", "nan"],
+            ["verify", "--tol-scale", "inf"],
+            ["verify", "--tol-scale", "-1"],
         ],
     )
     def test_invalid_arguments_exit_one(self, argv, capsys):
@@ -187,3 +202,38 @@ class TestRunConfigValidation:
             cfg("nope").validate()
         with pytest.raises(ValueError):
             cfg("verify", tol_scale=-1.0).validate()
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_rejects_non_finite_tol_scale(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            cfg("verify", tol_scale=scale).validate()
+
+    def test_table_size_is_bounded_before_anything_is_built(self):
+        # validation only: these grids are never allocated
+        side = 1 << 11
+        assert side * side == MAX_TABLE_ROWS
+        cfg("fig2", grid_d=side, grid_b=side).validate()
+        for command in ("fig2", "fig4"):
+            with pytest.raises(ValueError, match="rows"):
+                cfg(command, grid_d=side + 1, grid_b=side).validate()
+        cfg("fig3", grid_d=MAX_TABLE_ROWS, grid_b=10**9).validate()
+        for command in ("fig3", "fig5"):
+            with pytest.raises(ValueError, match="rows"):
+                cfg(command, grid_d=MAX_TABLE_ROWS + 1).validate()
+        for command in ("transition", "verify"):
+            cfg(command, grid_d=10**9, grid_b=10**9).validate()
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [verify.suite_discord_oracle, verify.suite_discord_symmetry, verify.suite_discord_zero_at_classical],
+)
+def test_unconverged_discord_optimum_fails_the_suite(suite, monkeypatch):
+    real = verify.discord_numeric
+    monkeypatch.setattr(
+        verify, "discord_numeric",
+        lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), converged=False),
+    )
+    result = suite()
+    assert not result.passed
+    assert result.max_deviation == math.inf
