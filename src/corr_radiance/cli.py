@@ -42,6 +42,10 @@ COMMANDS = ("fig2", "fig3", "fig4", "fig5", "transition", "verify")
 # largest table a command may write; larger grids fail before anything is built
 MAX_TABLE_ROWS = 2**22
 
+# largest --kl: the phase kl sin(beta) is rounded by up to about kl * 2**-52,
+# 2.2e-13 here, which must stay well below CLASSIFY_TOL (1e-12)
+MAX_KL = 1e3
+
 # band around g2 = 1 treated as an exact crossing in the fig5 marker
 _CROSSING_TOL = 1e-12
 
@@ -70,6 +74,11 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if not (math.isfinite(self.kl) and self.kl > 1.0):
             raise ValueError(f"--kl must be finite and exceed 1, got {self.kl}")
+        if self.kl > MAX_KL:
+            raise ValueError(
+                f"--kl must be at most {MAX_KL:g}, got {self.kl}: beyond that the "
+                "rounding of the phase kl sin(beta) nears the classification tolerance"
+            )
         if self.grid_d < 2:
             raise ValueError(f"--grid-d needs at least 2 samples, got {self.grid_d}")
         if self.grid_b < 2:
@@ -358,6 +367,22 @@ def cmd_verify(cfg: RunConfig) -> tuple[Table, list[str], bool]:
     return table, lines, all(r.passed for r in results)
 
 
+def _print_transition(cfg: RunConfig, summary: str) -> int:
+    if cfg.out is not None:
+        print(summary)
+    return EXIT_OK
+
+
+def _print_verify(cfg: RunConfig, lines: list[str], passed: bool) -> int:
+    for line in lines:
+        print(line)
+    return EXIT_OK if passed else EXIT_VERIFY
+
+
+# what a command that returns more than its table prints, and its exit status
+_PRINTERS = {"transition": _print_transition, "verify": _print_verify}
+
+
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------
@@ -378,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS, help="which table or action to run")
     parser.add_argument("--kl", type=float, default=math.pi,
-                        help="wave number times atom separation (default: pi)")
+                        help="wave number times atom separation, in (1, MAX_KL = 1000] (default: pi)")
     parser.add_argument("--grid-d", type=int, default=101,
                         help="samples along the discord axis (default: 101)")
     parser.add_argument("--grid-b", type=int, default=101,
@@ -417,28 +442,13 @@ def main(argv=None) -> int:
         print(f"corr-radiance: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    status = EXIT_OK
-    if cfg.command == "fig2":
-        table = cmd_fig2(cfg)
-    elif cfg.command == "fig3":
-        table = cmd_fig3(cfg)
-    elif cfg.command == "fig4":
-        table = cmd_fig4(cfg)
-    elif cfg.command == "fig5":
-        table = cmd_fig5(cfg)
-    elif cfg.command == "transition":
-        table, summary = cmd_transition(cfg)
-        if cfg.out is not None:
-            print(summary)
-    else:
-        table, lines, passed = cmd_verify(cfg)
-        for line in lines:
-            print(line)
-        if not passed:
-            status = EXIT_VERIFY
-        if cfg.out is None:
-            # the printed lines already carry the whole report
-            return status
+    # looked up by name on every call, so a patched cmd_* attribute is the one run
+    result = globals()["cmd_" + cfg.command](cfg)
+    table, *extra = result if isinstance(result, tuple) else (result,)
+    status = _PRINTERS[cfg.command](cfg, *extra) if extra else EXIT_OK
+    if cfg.command == "verify" and cfg.out is None:
+        # the printed lines already carry the whole report
+        return status
 
     try:
         _emit(render(table, cfg), cfg.out)

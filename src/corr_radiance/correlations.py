@@ -71,6 +71,9 @@ def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.nd
     Vectorized over a batch of measurement directions: for each (theta, phi)
     the Bloch projector is embedded, the state conjugated, the measured atom
     traced out, and the branch entropies weighted by the branch probability.
+    Every step acts on each direction alone, so a direction's value does not
+    depend on the rest of the batch, bit for bit; ``discord_numeric`` relies
+    on that when it batches its scan and its pattern search.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
@@ -98,6 +101,10 @@ def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.nd
         entropy = -np.sum(np.where(lam > 0.0, lam * np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0), axis=-1)
         total += np.where(p > 1e-15, p * entropy, 0.0)
     return total
+
+
+# measurement directions per _conditional_entropy call in the grid scan
+_SCAN_CHUNK = 512
 
 
 def discord_numeric(
@@ -137,11 +144,16 @@ def discord_numeric(
     phi_axis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     # theta-major layout so the first minimum is the lexicographically lowest
     tt, pp = np.meshgrid(theta_axis, phi_axis, indexing="ij")
-    values = _conditional_entropy(rho4, measured, tt.ravel(), pp.ravel())
+    thetas, phis = tt.ravel(), pp.ravel()
+    # chunked to bound the complex temporaries; rows do not depend on the chunking
+    values = np.concatenate([
+        _conditional_entropy(rho4, measured, thetas[i:i + _SCAN_CHUNK], phis[i:i + _SCAN_CHUNK])
+        for i in range(0, thetas.size, _SCAN_CHUNK)
+    ])
     best = int(np.argmin(values))
     best_f = float(values[best])
-    best_t = float(tt.ravel()[best])
-    best_p = float(pp.ravel()[best])
+    best_t = float(thetas[best])
+    best_p = float(phis[best])
     evaluations = grid * grid
 
     step_t = math.pi / grid
@@ -149,13 +161,21 @@ def discord_numeric(
     converged = False
     for _ in range(max_depth):
         before = best_f
-        for dt, dp in ((step_t, 0.0), (-step_t, 0.0), (0.0, step_p), (0.0, -step_p)):
-            t = min(max(best_t + dt, 0.0), math.pi)
-            p = (best_p + dp) % (2.0 * math.pi)
-            f = float(_conditional_entropy(rho4, measured, t, p)[0])
-            evaluations += 1
-            if f < best_f:
-                best_f, best_t, best_p = f, t, p
+        moves = ((step_t, 0.0), (-step_t, 0.0), (0.0, step_p), (0.0, -step_p))
+        evaluations += len(moves)
+        # Each move steps from the best point so far.  The moves left in the
+        # sweep are evaluated in one call; the first that improves is taken and
+        # the moves after it are evaluated again from the new point.
+        while moves:
+            ts = [min(max(best_t + dt, 0.0), math.pi) for dt, _ in moves]
+            ps = [(best_p + dp) % (2.0 * math.pi) for _, dp in moves]
+            fs = _conditional_entropy(rho4, measured, ts, ps)
+            better = np.flatnonzero(fs < best_f)
+            if better.size == 0:
+                break
+            k = int(better[0])
+            best_f, best_t, best_p = float(fs[k]), ts[k], ps[k]
+            moves = moves[k + 1:]
         gain = before - best_f
         if gain > 0.0:
             if gain < tol:

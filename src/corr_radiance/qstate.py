@@ -227,12 +227,21 @@ def von_neumann_entropy(rho) -> float:
     return eigenvalue_entropy(np.linalg.eigvalsh(mat))
 
 
+_SIGMA_MINUS_1 = np.kron(LOWERING, ID2)
+_SIGMA_MINUS_2 = np.kron(ID2, LOWERING)
+_SIGMA_MINUS_1.setflags(write=False)
+_SIGMA_MINUS_2.setflags(write=False)
+
+
 def sigma_minus(j: int) -> CMatrix:
-    """Lowering operator |g><e| of atom j embedded in the two-atom space."""
+    """Lowering operator |g><e| of atom j embedded in the two-atom space.
+
+    The array is a shared read-only constant; copy it before writing to it.
+    """
     if j == 1:
-        return np.kron(LOWERING, ID2)
+        return _SIGMA_MINUS_1
     if j == 2:
-        return np.kron(ID2, LOWERING)
+        return _SIGMA_MINUS_2
     raise ValueError(f"atom index must be 1 or 2, got {j}")
 
 

@@ -10,6 +10,7 @@ converge counts as an infinite deviation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .emission import (
     radiance_boundary,
 )
 from .qstate import (
+    DensityMatrix,
     XStateParams,
     excitation_probability,
     make_werner,
@@ -81,10 +83,17 @@ def _geometry_grid() -> list[DetectionGeometry]:
     return geoms
 
 
+@functools.cache
+def _x_state_grid() -> tuple[DensityMatrix, ...]:
+    """The states of ``valid_x_params()``, built (and so validated) once per
+    process, on first use, and shared by the suites that sweep them."""
+    return tuple(make_x_state(p) for p in valid_x_params())
+
+
 def suite_x_state_validity(tol_scale: float = 1.0) -> SuiteResult:
     dev = 0.0
-    for p in valid_x_params():
-        check = validate_density(make_x_state(p).mat)
+    for rho in _x_state_grid():
+        check = validate_density(rho.mat)
         dev = max(
             dev,
             check.trace_deviation,
@@ -99,17 +108,14 @@ def suite_x_state_validity(tol_scale: float = 1.0) -> SuiteResult:
 def suite_marginals(tol_scale: float = 1.0) -> SuiteResult:
     half = np.eye(2) / 2.0
     dev = 0.0
-    for p in valid_x_params():
-        rho = make_x_state(p)
+    for rho in _x_state_grid():
         for keep in (1, 2):
             dev = max(dev, float(np.max(np.abs(partial_trace(rho, keep).mat - half))))
     return _result("reduced states are maximally mixed", dev, 1e-12, tol_scale)
 
 
 def suite_excitation(tol_scale: float = 1.0) -> SuiteResult:
-    dev = max(
-        abs(excitation_probability(make_x_state(p)) - 1.0) for p in valid_x_params()
-    )
+    dev = max(abs(excitation_probability(rho) - 1.0) for rho in _x_state_grid())
     return _result("one excitation shared between the atoms", dev, 1e-12, tol_scale)
 
 

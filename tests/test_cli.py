@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from corr_radiance import verify
+from corr_radiance.emission import CLASSIFY_TOL
 from corr_radiance.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    MAX_KL,
     MAX_TABLE_ROWS,
     RunConfig,
     Table,
@@ -163,10 +165,48 @@ class TestMainEntry:
             ["verify", "--tol-scale", "nan"],
             ["verify", "--tol-scale", "inf"],
             ["verify", "--tol-scale", "-1"],
+            ["transition", "--kl", "1e300"],
+            ["transition", "--kl", "1e12"],
+            ["transition", "--kl", repr(math.nextafter(MAX_KL, math.inf))],
         ],
     )
     def test_invalid_arguments_exit_one(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
+        capsys.readouterr()
+
+    def test_kl_cap_itself_is_accepted(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["transition", "--kl", repr(MAX_KL), "--out", str(out)]) == EXIT_OK
+        assert out.read_text().startswith("kl,sin_beta,c_star,D_t,status\n1000,")
+        capsys.readouterr()
+
+    def test_kl_cap_keeps_phase_rounding_below_the_classification_band(self):
+        # |phase| <= kl, and one ulp of kl is at most kl * 2**-52
+        assert MAX_KL * 2.0**-52 < CLASSIFY_TOL / 4.0
+        assert math.ulp(MAX_KL) < CLASSIFY_TOL / 4.0
+
+    def test_kl_beyond_the_cap_names_it(self, capsys):
+        assert main(["transition", "--kl", "1e300"]) == EXIT_USAGE
+        assert "at most 1000" in capsys.readouterr().err
+
+    def test_commands_are_looked_up_when_main_runs(self, monkeypatch, capsys):
+        # the benchmark's tracer replaces the cmd_* attributes of the module
+        import corr_radiance.cli as cli
+
+        seen = []
+
+        def traced(original):
+            def wrapper(config):
+                seen.append(config.command)
+                return original(config)
+            return wrapper
+
+        for name in ("fig3", "transition", "verify"):
+            monkeypatch.setattr(cli, "cmd_" + name, traced(getattr(cli, "cmd_" + name)))
+        assert main(["fig3", "--grid-d", "3"]) == EXIT_OK
+        assert main(["transition"]) == EXIT_OK
+        assert main(["verify", "--tol-scale", "0"]) == EXIT_VERIFY
+        assert seen == ["fig3", "transition", "verify"]
         capsys.readouterr()
 
     def test_unwritable_path_exits_three(self, tmp_path, capsys):
