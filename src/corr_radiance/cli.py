@@ -21,6 +21,7 @@ import numpy as np
 from . import verify as verify_mod
 from .correlations import discord_to_c
 from .emission import (
+    MAX_KL,
     STATISTICS,
     DetectionGeometry,
     find_statistics_transition,
@@ -41,10 +42,6 @@ COMMANDS = ("fig2", "fig3", "fig4", "fig5", "transition", "verify")
 
 # largest table a command may write; larger grids fail before anything is built
 MAX_TABLE_ROWS = 2**22
-
-# largest --kl: the phase kl sin(beta) is rounded by up to about kl * 2**-52,
-# 2.2e-13 here, which must stay well below CLASSIFY_TOL (1e-12)
-MAX_KL = 1e3
 
 # band around g2 = 1 treated as an exact crossing in the fig5 marker
 _CROSSING_TOL = 1e-12

@@ -46,10 +46,16 @@ def _xlog2(x: float) -> float:
 
 
 def discord_werner_closed(c: float) -> float:
-    """Quantum discord of the Werner state with mixing parameter c, in bits."""
+    """Quantum discord of the Werner state with mixing parameter c, in bits.
+
+    Near c = 0 the discord is about c^2 / ln 2 while the three terms cancel
+    to about 1e-16, so below c of about 1e-8 the sum can come out negative;
+    it is clamped at 0.
+    """
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"Werner parameter c = {c} lies outside [0, 1]")
-    return 0.25 * _xlog2(1.0 - c) - 0.5 * _xlog2(1.0 + c) + 0.25 * _xlog2(1.0 + 3.0 * c)
+    d = 0.25 * _xlog2(1.0 - c) - 0.5 * _xlog2(1.0 + c) + 0.25 * _xlog2(1.0 + 3.0 * c)
+    return d if d > 0.0 else 0.0
 
 
 def _embed_projectors(projs: np.ndarray, measured: int) -> np.ndarray:

@@ -22,6 +22,9 @@ from .qstate import CMatrix, DensityMatrix, XStateParams, dagger, sigma_minus
 UNDEFINED_INTENSITY_TOL = 1e-12
 # band around 1 that counts as neutral radiance / Poissonian statistics
 CLASSIFY_TOL = 1e-12
+# largest kl: the phase kl sin(beta) is rounded by up to about kl * 2**-52,
+# 2.2e-13 here, which must stay well below CLASSIFY_TOL
+MAX_KL = 1e3
 
 _IMAG_TOL = 1e-12
 
@@ -228,10 +231,13 @@ def radiance_boundary(kl: float) -> list[float]:
     """All sin(beta) in [-1, 1] where cos(kl sin beta) = 0, sorted ascending.
 
     These are the angles kl sin(beta) = pi/2 + n pi at which the intensity
-    equals 1 for every Werner state; empty when kl < pi/2.
+    equals 1 for every Werner state; empty when kl < pi/2.  There are about
+    2 kl / pi of them, so kl above MAX_KL is rejected.
     """
     if not (math.isfinite(kl) and kl > 1.0):
         raise ValueError(f"kl must be finite and exceed 1, got {kl}")
+    if kl > MAX_KL:
+        raise ValueError(f"kl must be at most MAX_KL = {MAX_KL:g}, got {kl}")
     positives = []
     n = 0
     while True:

@@ -8,6 +8,7 @@ factor.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +36,6 @@ LOWERING = np.outer(KET_G, KET_E.conj())  # |g><e|
 
 def dagger(a: CMatrix) -> CMatrix:
     return a.conj().T
-
-
-def hermiticity_deviation(a: CMatrix) -> float:
-    """Largest entrywise distance between a matrix and its adjoint."""
-    return float(np.max(np.abs(a - a.conj().T)))
 
 
 @dataclass(frozen=True)
@@ -90,42 +86,90 @@ _BELL_EIGENVALUE_EXPRS = (
 
 @dataclass(frozen=True)
 class DensityCheck:
-    """Outcome of validating a candidate density matrix."""
+    """Outcome of validating a candidate density matrix or a stack of them.
 
-    trace_deviation: float
-    hermiticity_deviation: float
-    min_eigenvalue: float
-    passed: bool
+    For one matrix each field is a float (``passed`` a bool); for a (k, n, n)
+    stack each is an array of length k with one entry per member.
+    """
+
+    trace_deviation: float | np.ndarray
+    hermiticity_deviation: float | np.ndarray
+    min_eigenvalue: float | np.ndarray
+    passed: bool | np.ndarray
 
 
 def validate_density(mat: CMatrix) -> DensityCheck:
-    """Check unit trace, Hermiticity, and positivity of a square matrix.
+    """Check unit trace, Hermiticity, and positivity of square matrices.
 
     Parameters
     ----------
     mat : array_like
-        Square complex matrix to inspect.
+        One square complex matrix, shape (n, n), or a stack of them, shape
+        (k, n, n).  A stack takes one trace, one Hermiticity test and one
+        batched ``eigvalsh``; each member's result equals that of validating
+        it alone.
 
     Returns
     -------
     DensityCheck
-        Deviations from each requirement and the overall verdict.  The
-        minimum eigenvalue is taken from the Hermitian part (mat + mat†)/2,
-        which coincides with the spectrum whenever the Hermiticity test
-        passes.
+        Deviations from each requirement (largest entrywise distance to the
+        adjoint for Hermiticity) and the overall verdict, as floats for one
+        matrix and as arrays for a stack.  The minimum eigenvalue is taken
+        from the Hermitian part (mat + mat†)/2, which coincides with the
+        spectrum whenever the Hermiticity test passes.
     """
     a = np.asarray(mat, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    trace_dev = float(abs(a.trace() - 1.0))
-    herm_dev = hermiticity_deviation(a)
-    min_eig = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0).min())
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    stack = a if a.ndim == 3 else a[np.newaxis]
+    excess = np.trace(stack, axis1=-2, axis2=-1) - 1.0
+    # libm hypot, as abs() of one complex scalar; np.abs rounds some complex
+    # moduli differently in the last ulp
+    trace_dev = np.hypot(excess.real, excess.imag)
+    # one scratch stack holds mat - mat†, then (mat + mat†)/2, so a large
+    # stack costs one copy of itself on top
+    work = np.conjugate(stack.swapaxes(-1, -2))
+    np.subtract(stack, work, out=work)
+    herm_dev = np.abs(work).max(axis=(-2, -1))
+    np.conjugate(stack.swapaxes(-1, -2), out=work)
+    np.add(stack, work, out=work)
+    work /= 2.0
+    min_eig = np.linalg.eigvalsh(work).min(axis=-1)
     passed = (
-        trace_dev <= TRACE_TOL
-        and herm_dev <= HERMITICITY_TOL
-        and min_eig >= EIGENVALUE_FLOOR
+        (trace_dev <= TRACE_TOL)
+        & (herm_dev <= HERMITICITY_TOL)
+        & (min_eig >= EIGENVALUE_FLOOR)
     )
+    if a.ndim == 2:
+        return DensityCheck(float(trace_dev[0]), float(herm_dev[0]), float(min_eig[0]), bool(passed[0]))
     return DensityCheck(trace_dev, herm_dev, min_eig, passed)
+
+
+def _frozen_valid(a: np.ndarray) -> np.ndarray:
+    """Validate a complex matrix or (k, n, n) stack that no caller holds, in
+    one ``validate_density`` call, and make it read-only.
+
+    A failure names the first failing member's index when ``a`` is a stack.
+    """
+    if a.shape[-1] not in (2, 4):
+        raise ValueError(f"density matrix must be 2x2 or 4x4, got {a.shape}")
+    check = validate_density(a)
+    failed = np.flatnonzero(~np.atleast_1d(check.passed))
+    if failed.size:
+        i = failed[0]
+        trace, herm, eig = (
+            np.atleast_1d(value)[i]
+            for value in (check.trace_deviation, check.hermiticity_deviation, check.min_eigenvalue)
+        )
+        where = f" at index {i}" if a.ndim == 3 else ""
+        raise ValueError(
+            f"invalid density matrix{where}: "
+            f"trace deviation {trace:.3g}, "
+            f"hermiticity deviation {herm:.3g}, "
+            f"minimum eigenvalue {eig:.3g}"
+        )
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +178,7 @@ class DensityMatrix:
 
     Construction rejects anything that is not trace one, Hermitian, and
     positive semidefinite within tolerance; the stored array is read-only.
+    ``density_matrices`` builds many at once from a stack.
     """
 
     mat: CMatrix
@@ -142,44 +187,59 @@ class DensityMatrix:
         a = np.array(self.mat, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] not in (2, 4):
-            raise ValueError(f"density matrix must be 2x2 or 4x4, got {a.shape}")
-        check = validate_density(a)
-        if not check.passed:
-            raise ValueError(
-                "invalid density matrix: "
-                f"trace deviation {check.trace_deviation:.3g}, "
-                f"hermiticity deviation {check.hermiticity_deviation:.3g}, "
-                f"minimum eigenvalue {check.min_eigenvalue:.3g}"
-            )
-        a.setflags(write=False)
-        object.__setattr__(self, "mat", a)
+        object.__setattr__(self, "mat", _frozen_valid(a))
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
 
-def make_x_state(params: XStateParams) -> DensityMatrix:
-    """Bell-diagonal state (I + cx XX + cy YY + cz ZZ)/4.
+def _views(a: np.ndarray) -> tuple[DensityMatrix, ...]:
+    """DensityMatrix views of the members of a stack from ``_frozen_valid``."""
+    states = []
+    for view in a:
+        # every member passed the stack's validation in _frozen_valid
+        state = object.__new__(DensityMatrix)
+        object.__setattr__(state, "mat", view)
+        states.append(state)
+    return tuple(states)
 
-    The matrix is assembled literally: diagonal (1 +/- cz)/4, inner
-    anti-diagonal (cx + cy)/4, outer anti-diagonal (cx - cy)/4.
+
+def density_matrices(stack) -> tuple[DensityMatrix, ...]:
+    """One DensityMatrix per member of a (k, n, n) stack, all validated by
+    one ``validate_density`` call.
+
+    The stack is copied once; each state's ``mat`` is a read-only view of
+    that copy, which is the view's ``base``.  Raises ValueError naming the
+    index of the first member that is not a density matrix.
     """
-    cx, cy, cz = params.cx, params.cy, params.cz
-    mat = (
-        np.array(
-            [
-                [1.0 + cz, 0.0, 0.0, cx - cy],
-                [0.0, 1.0 - cz, cx + cy, 0.0],
-                [0.0, cx + cy, 1.0 - cz, 0.0],
-                [cx - cy, 0.0, 0.0, 1.0 + cz],
-            ],
-            dtype=complex,
-        )
-        / 4.0
-    )
-    return DensityMatrix(mat)
+    a = np.array(stack, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    return _views(_frozen_valid(a))
+
+
+def x_states(params: Sequence[XStateParams]) -> tuple[DensityMatrix, ...]:
+    """Bell-diagonal states (I + cx XX + cy YY + cz ZZ)/4, one per entry of
+    ``params``, built as one stack and validated by one call.
+
+    Each matrix is assembled literally: diagonal (1 +/- cz)/4, inner
+    anti-diagonal (cx + cy)/4, outer anti-diagonal (cx - cy)/4.  As with
+    ``density_matrices``, each ``mat`` is a read-only view of the stack.
+    """
+    cx, cy, cz = np.array([(p.cx, p.cy, p.cz) for p in params], dtype=float).reshape(-1, 3).T
+    mat = np.zeros((len(cx), 4, 4), dtype=complex)
+    mat[:, 0, 0] = mat[:, 3, 3] = 1.0 + cz
+    mat[:, 1, 1] = mat[:, 2, 2] = 1.0 - cz
+    mat[:, 1, 2] = mat[:, 2, 1] = cx + cy
+    mat[:, 0, 3] = mat[:, 3, 0] = cx - cy
+    mat /= 4.0
+    return _views(_frozen_valid(mat))
+
+
+def make_x_state(params: XStateParams) -> DensityMatrix:
+    """Bell-diagonal state (I + cx XX + cy YY + cz ZZ)/4; see ``x_states``."""
+    return x_states([params])[0]
 
 
 def make_werner(c: float) -> DensityMatrix:
@@ -187,6 +247,27 @@ def make_werner(c: float) -> DensityMatrix:
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"Werner parameter c = {c} lies outside [0, 1]")
     return make_x_state(XStateParams(-c, -c, -c))
+
+
+def partial_traces(stack, keep: int) -> np.ndarray:
+    """Reduced states of atom ``keep`` (1 or 2) of a (k, 4, 4) stack of
+    two-atom states: one ``einsum``, then one validation of the whole
+    (k, 2, 2) result, which is returned read-only.
+
+    Raises ValueError naming the index of the first reduced state that is
+    not a density matrix.
+    """
+    s = np.asarray(stack, dtype=complex)
+    if s.ndim != 3 or s.shape[1:] != (4, 4):
+        raise ValueError(f"partial trace needs two-atom (4x4) states, got shape {s.shape}")
+    r = s.reshape(-1, 2, 2, 2, 2)
+    if keep == 1:
+        reduced = np.einsum("kabcb->kac", r)
+    elif keep == 2:
+        reduced = np.einsum("kabac->kbc", r)
+    else:
+        raise ValueError(f"keep must be 1 or 2, got {keep}")
+    return _frozen_valid(reduced)
 
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
@@ -199,16 +280,7 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     keep : int
         Atom whose reduced state is returned; the other atom is traced out.
     """
-    if rho.dim != 4:
-        raise ValueError("partial trace needs a two-atom (4x4) state")
-    r = rho.mat.reshape(2, 2, 2, 2)
-    if keep == 1:
-        reduced = np.einsum("abcb->ac", r)
-    elif keep == 2:
-        reduced = np.einsum("abac->bc", r)
-    else:
-        raise ValueError(f"keep must be 1 or 2, got {keep}")
-    return DensityMatrix(reduced)
+    return _views(partial_traces(rho.mat[np.newaxis], keep))[0]
 
 
 def eigenvalue_entropy(eigenvalues) -> float:

@@ -39,10 +39,11 @@ from .qstate import (
     excitation_probability,
     make_werner,
     make_x_state,
-    partial_trace,
+    partial_traces,
     sigma_minus,
     validate_density,
     von_neumann_entropy,
+    x_states,
 )
 
 
@@ -85,32 +86,35 @@ def _geometry_grid() -> list[DetectionGeometry]:
 
 @functools.cache
 def _x_state_grid() -> tuple[DensityMatrix, ...]:
-    """The states of ``valid_x_params()``, built (and so validated) once per
-    process, on first use, and shared by the suites that sweep them."""
-    return tuple(make_x_state(p) for p in valid_x_params())
+    """The states of ``valid_x_params()``, built as one stack and validated by
+    one call, once per process, on first use, and shared by the suites that
+    sweep them."""
+    return x_states(valid_x_params())
+
+
+def _x_state_stack() -> np.ndarray:
+    """The shared grid as one read-only (k, 4, 4) array, which its states view."""
+    return _x_state_grid()[0].mat.base
 
 
 def suite_x_state_validity(tol_scale: float = 1.0) -> SuiteResult:
-    dev = 0.0
-    for rho in _x_state_grid():
-        check = validate_density(rho.mat)
-        dev = max(
-            dev,
-            check.trace_deviation,
-            check.hermiticity_deviation,
-            max(0.0, -check.min_eigenvalue),
-        )
-        if not check.passed:
-            dev = max(dev, 1.0)
+    check = validate_density(_x_state_stack())
+    dev = max(
+        0.0,
+        float(check.trace_deviation.max()),
+        float(check.hermiticity_deviation.max()),
+        float(-check.min_eigenvalue.min()),
+    )
+    if not check.passed.all():
+        dev = max(dev, 1.0)
     return _result("x-state validity on 0.1-step grid", dev, 1e-10, tol_scale)
 
 
 def suite_marginals(tol_scale: float = 1.0) -> SuiteResult:
     half = np.eye(2) / 2.0
     dev = 0.0
-    for rho in _x_state_grid():
-        for keep in (1, 2):
-            dev = max(dev, float(np.max(np.abs(partial_trace(rho, keep).mat - half))))
+    for keep in (1, 2):
+        dev = max(dev, float(np.max(np.abs(partial_traces(_x_state_stack(), keep) - half))))
     return _result("reduced states are maximally mixed", dev, 1e-12, tol_scale)
 
 
@@ -198,8 +202,7 @@ def suite_intensity_oracle(tol_scale: float = 1.0) -> SuiteResult:
     geoms = _geometry_grid()
     assert len(params) * len(geoms) >= 1000
     dev = 0.0
-    for p in params:
-        rho = make_x_state(p)
+    for p, rho in zip(params, x_states(params)):
         for geom in geoms:
             dev = max(dev, abs(intensity_oracle(rho, geom) - intensity_closed_x(p, geom)))
     return _result("intensity trace matches closed form", dev, 1e-12, tol_scale)

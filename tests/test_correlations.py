@@ -40,6 +40,13 @@ class TestDiscordClosedForm:
         with pytest.raises(ValueError):
             discord_werner_closed(c)
 
+    @pytest.mark.parametrize("c", [5e-324, 1e-17, 1e-12, 3e-9, 7.4432257761466606e-09])
+    def test_never_negative_where_the_terms_cancel(self, c):
+        # unclamped, the three terms sum to -4e-17 at c = 1e-12, and
+        # discord_to_c would reject the closed form's own value
+        assert discord_werner_closed(c) >= 0.0
+        assert abs(discord_to_c(discord_werner_closed(c)) - c) <= 1e-7
+
 
 class TestDiscordNumeric:
     def test_matches_closed_form_on_werner_grid(self):

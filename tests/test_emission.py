@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from corr_radiance.emission import (
+    MAX_KL,
     DetectionGeometry,
     PhotonStatistics,
     Radiance,
@@ -205,6 +206,33 @@ class TestRadianceBoundary:
     def test_rejects_kl_at_or_below_one(self):
         with pytest.raises(ValueError):
             radiance_boundary(1.0)
+
+    @pytest.mark.parametrize("kl", [1e300, 1e9, math.nextafter(MAX_KL, math.inf), math.inf])
+    def test_rejects_kl_above_the_cap_at_once(self, kl):
+        # uncapped, 1e300 would loop forever and 1e9 would build ~6e8 floats
+        with pytest.raises(ValueError, match="kl must"):
+            radiance_boundary(kl)
+
+    def test_the_cap_itself_gives_636_angles(self):
+        angles = radiance_boundary(MAX_KL)
+        assert len(angles) == 636
+        assert angles == sorted(angles) and angles == [-s for s in reversed(angles)]
+        assert all(-1.0 <= s <= 1.0 and abs(math.cos(MAX_KL * s)) < 1e-12 for s in angles)
+
+    @pytest.mark.parametrize("kl", [1.2, 1.5 * PI, PI, 3.0 * PI, 7.3, 100.0, 999.5, MAX_KL])
+    def test_values_below_the_cap_are_unchanged(self, kl):
+        # the loop of the uncapped function, bit for bit
+        positives, n = [], 0
+        while (s := (math.pi / 2.0 + n * math.pi) / kl) <= 1.0:
+            positives.append(s)
+            n += 1
+        expected = sorted(-s for s in positives) + positives
+        assert [a.hex() for a in radiance_boundary(kl)] == [e.hex() for e in expected]
+
+    def test_cli_uses_the_same_cap(self):
+        from corr_radiance import cli
+
+        assert cli.MAX_KL is MAX_KL
 
     def test_intensity_is_unity_on_the_boundary(self):
         for kl in (PI, 3.0 * PI):

@@ -1,5 +1,6 @@
 """Property tests at random inputs: each closed form against its operator-trace
-oracle, and the JSON table against the CSV table it must read back as."""
+oracle, the discord inversion against the discord curve, and the JSON table
+against the CSV table it must read back as."""
 
 import json
 import math
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corr_radiance.cli import MAX_KL, RunConfig, cmd_fig4, cmd_fig5, render_csv, render_json
+from corr_radiance.correlations import discord_to_c, discord_werner_closed
 from corr_radiance.emission import (
     UNDEFINED_INTENSITY_TOL,
     DetectionGeometry,
@@ -75,6 +77,32 @@ def test_g2_closed_form_matches_the_trace_to_its_conditioning(c, geom):
     assert (closed is None) == (numeric is None)
     if closed is not None:
         assert abs(numeric - closed) <= G2_TOL + 16.0 * EPS * closed / abs(bracket)
+
+
+# the tolerance discord_to_c bisects to, in c and in discord
+INVERSION_TOL = 1e-9
+
+
+def discord_slope(c: float) -> float:
+    """dD/dc of the Werner discord; about 2c / ln 2 near c = 0."""
+    if c == 1.0:
+        return math.inf
+    return -0.25 * math.log2(1.0 - c) - 0.5 * math.log2(1.0 + c) + 0.75 * math.log2(1.0 + 3.0 * c)
+
+
+@settings(max_examples=2000, deadline=None, database=None)
+@given(c=st.floats(0.0, 1.0))
+def test_discord_inversion_round_trip(c):
+    d = discord_werner_closed(c)
+    assert 0.0 <= d <= 1.0
+    c_back = discord_to_c(d)
+    assert abs(discord_werner_closed(c_back) - d) <= INVERSION_TOL
+    # the closed form rounds to a few eps in absolute terms, while D ~ c^2/ln 2
+    # near c = 0: there an error in D moves the root by error / slope
+    slope = discord_slope(c)
+    assert abs(c_back - c) <= INVERSION_TOL + (8.0 * EPS / slope if slope > 0.0 else 0.0)
+    if c >= 1e-6:
+        assert abs(c_back - c) <= INVERSION_TOL
 
 
 def csv_cells(text: str) -> tuple[list[str], list[list[str]]]:
