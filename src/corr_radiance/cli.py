@@ -26,7 +26,7 @@ from .emission import (
     DetectionGeometry,
     find_statistics_transition,
     werner_emission,
-    werner_intensity,
+    x_intensity,
 )
 
 # The scalar kernels stay bound here, although the sweeps run on arrays:
@@ -276,15 +276,15 @@ _FLAG_NAMES = ("", "undefined")
 def cmd_fig2(cfg: RunConfig) -> Table:
     """Intensity over the (discord, sin beta) plane for Werner states."""
     columns, c, cos_phase = _plane(cfg)
-    intensity = werner_intensity(c, cos_phase)
+    intensity = x_intensity(-c, cos_phase)
     return Table(("D", "c", "sin_beta", "I"), (*columns, intensity.ravel()))
 
 
 def cmd_fig3(cfg: RunConfig) -> Table:
     """Intensity against discord along the two extreme observation angles."""
     d, c = _discord_axis(cfg)
-    forward = werner_intensity(c, _cos_phase(cfg.kl, 1.0))
-    backward = werner_intensity(c, _cos_phase(cfg.kl, 0.0))
+    forward = x_intensity(-c, _cos_phase(cfg.kl, 1.0))
+    backward = x_intensity(-c, _cos_phase(cfg.kl, 0.0))
     return Table(("D", "c", "I_sinb1", "I_sinb0"), (d, c, forward, backward))
 
 

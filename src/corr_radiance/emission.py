@@ -118,7 +118,7 @@ def intensity_oracle(
 
 def intensity_closed_x(params: XStateParams, geom: DetectionGeometry) -> float:
     """Closed-form intensity 1 + (cx + cy)/2 cos(kl sin beta) of a Bell-diagonal state."""
-    return 1.0 + 0.5 * (params.cx + params.cy) * math.cos(geom.phase)
+    return x_intensity(0.5 * (params.cx + params.cy), math.cos(geom.phase))
 
 
 def g2_oracle(
@@ -144,20 +144,33 @@ def g2_closed_werner(c: float, geom: DetectionGeometry) -> float | None:
     """Closed-form Werner g2: (1 - c) / (1 - c cos(kl sin beta))^2, None at 0/0."""
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"Werner parameter c = {c} lies outside [0, 1]")
-    bracket = 1.0 - c * math.cos(geom.phase)
-    if abs(bracket) < UNDEFINED_INTENSITY_TOL:
-        return None
-    return (1.0 - c) / bracket**2
+    e = x_emission(-c, -c, math.cos(geom.phase))
+    return None if e.undefined else float(e.g2)
 
 
-# order of the integer statistics codes that werner_emission returns
-STATISTICS = tuple(PhotonStatistics)
-_CODE = {statistics: np.int8(code) for code, statistics in enumerate(STATISTICS)}
+# order of the integer statistics codes in Emission: 1 + the band of g2 (see
+# _band), then undefined
+STATISTICS = (
+    PhotonStatistics.SUB_POISSONIAN,
+    PhotonStatistics.POISSONIAN,
+    PhotonStatistics.SUPER_POISSONIAN,
+    PhotonStatistics.UNDEFINED,
+)
+_UNDEFINED = np.int8(STATISTICS.index(PhotonStatistics.UNDEFINED))
+# the radiance of 1 + the band of the intensity
+_RADIANCE = (Radiance.SUB, Radiance.NEUTRAL, Radiance.SUPER)
+
+
+def _band(x):
+    """-1, 0 or 1 (int8) where x lies below, within or above 1 +/- CLASSIFY_TOL;
+    0 for NaN."""
+    x = np.asarray(x)
+    return (x > 1.0 + CLASSIFY_TOL).astype(np.int8) - (x < 1.0 - CLASSIFY_TOL)
 
 
 @dataclass(frozen=True)
-class WernerEmission:
-    """Werner-state emission over a grid of (c, cos phase) points.
+class Emission:
+    """Emission of Bell-diagonal states over a grid of points.
 
     ``g2`` is NaN exactly where ``undefined`` is set; ``statistics`` holds
     indices into ``STATISTICS``.
@@ -169,37 +182,37 @@ class WernerEmission:
     statistics: np.ndarray
 
 
-def werner_intensity(c: np.ndarray, cos_phase: np.ndarray) -> np.ndarray:
-    """``intensity_closed_x`` of the Werner states cx = cy = cz = -c over arrays,
-    in the scalar order of operations, so bit for bit equal to it."""
-    cx = -np.asarray(c, dtype=float)
-    return 1.0 + 0.5 * (cx + cx) * cos_phase
+def x_intensity(half_sum, cos_phase):
+    """Intensity 1 + half_sum cos(kl sin beta) of Bell-diagonal states, with
+    half_sum = (cx + cy)/2; floats, or arrays that broadcast."""
+    return 1.0 + half_sum * cos_phase
 
 
-def werner_emission(c: np.ndarray, cos_phase: np.ndarray) -> WernerEmission:
-    """``intensity_closed_x``, ``g2_closed_werner`` and ``classify`` over arrays.
+def x_emission(half_sum, cz, cos_phase) -> Emission:
+    """Intensity, g2 = (1 + cz)/I^2 and statistics of Bell-diagonal states.
 
-    ``c`` and ``cos_phase`` broadcast against each other.  Each point takes
-    the scalar functions' basic operations in their order, and the bracket is
-    squared by libm ``pow`` as in ``bracket**2``, so every value equals the
-    scalar result bit for bit; ``cos_phase`` should come from ``math.cos``.
+    The arguments broadcast against each other; g2 is undefined where the
+    intensity is below UNDEFINED_INTENSITY_TOL.  The Werner state c is
+    half_sum = cz = -c, and since (-c) x = -(c x) and 1 + (-y) = 1 - y
+    exactly, its values are those of 1 - c cos phi and (1 - c)/(1 - c cos phi)^2
+    bit for bit.  ``cos_phase`` should come from ``math.cos``, whose last ulp
+    is the scalar functions' own.
     """
+    intensity = np.asarray(x_intensity(half_sum, cos_phase), dtype=float)
+    if not np.all(intensity >= 0.0):
+        raise ValueError("intensity must be nonnegative")
+    undefined = intensity < UNDEFINED_INTENSITY_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g2 = np.where(undefined, np.nan, (1.0 + cz) / (intensity * intensity))
+    return Emission(intensity, g2, undefined, np.where(undefined, _UNDEFINED, _band(g2) + 1))
+
+
+def werner_emission(c: np.ndarray, cos_phase: np.ndarray) -> Emission:
+    """``x_emission`` of the Werner states cx = cy = cz = -c over arrays."""
     c = np.asarray(c, dtype=float)
     if not np.all((c >= 0.0) & (c <= 1.0)):
         raise ValueError("Werner parameter c lies outside [0, 1]")
-    intensity = werner_intensity(c, cos_phase)
-    if not np.all(intensity >= 0.0):
-        raise ValueError("intensity must be nonnegative")
-    bracket = 1.0 - c * cos_phase
-    undefined = np.abs(bracket) < UNDEFINED_INTENSITY_TOL
-    # numpy squares by multiplication, which differs from pow in the last ulp
-    square = np.array([b**2 for b in bracket.ravel().tolist()]).reshape(bracket.shape)
-    g2 = np.divide(1.0 - c, square, out=np.full(bracket.shape, np.nan), where=~undefined)
-    statistics = np.full(bracket.shape, _CODE[PhotonStatistics.POISSONIAN])
-    statistics[g2 > 1.0 + CLASSIFY_TOL] = _CODE[PhotonStatistics.SUPER_POISSONIAN]
-    statistics[g2 < 1.0 - CLASSIFY_TOL] = _CODE[PhotonStatistics.SUB_POISSONIAN]
-    statistics[undefined] = _CODE[PhotonStatistics.UNDEFINED]
-    return WernerEmission(intensity, g2, undefined, statistics)
+    return x_emission(-c, -c, cos_phase)
 
 
 def classify(intensity: float, g2: float | None) -> EmissionReport:
@@ -210,21 +223,8 @@ def classify(intensity: float, g2: float | None) -> EmissionReport:
     """
     if intensity < 0.0:
         raise ValueError(f"intensity must be nonnegative, got {intensity}")
-    if intensity > 1.0 + CLASSIFY_TOL:
-        radiance = Radiance.SUPER
-    elif intensity < 1.0 - CLASSIFY_TOL:
-        radiance = Radiance.SUB
-    else:
-        radiance = Radiance.NEUTRAL
-    if g2 is None:
-        statistics = PhotonStatistics.UNDEFINED
-    elif g2 > 1.0 + CLASSIFY_TOL:
-        statistics = PhotonStatistics.SUPER_POISSONIAN
-    elif g2 < 1.0 - CLASSIFY_TOL:
-        statistics = PhotonStatistics.SUB_POISSONIAN
-    else:
-        statistics = PhotonStatistics.POISSONIAN
-    return EmissionReport(intensity, g2, radiance, statistics)
+    statistics = PhotonStatistics.UNDEFINED if g2 is None else STATISTICS[_band(g2) + 1]
+    return EmissionReport(intensity, g2, _RADIANCE[_band(intensity) + 1], statistics)
 
 
 def radiance_boundary(kl: float) -> list[float]:
@@ -262,11 +262,12 @@ def find_statistics_transition(geom: DetectionGeometry) -> TransitionPoint | Non
     c_star = (2.0 * cos_phi - 1.0) / cos_phi**2
     if not 0.0 < c_star < 1.0:
         return None
-    if 1.0 - c_star * cos_phi < UNDEFINED_INTENSITY_TOL:
+    if x_intensity(-c_star, cos_phi) < UNDEFINED_INTENSITY_TOL:
         return None
 
     def excess(c: float) -> float:
-        return (1.0 - c) - (1.0 - c * cos_phi) ** 2
+        bracket = x_intensity(-c, cos_phi)
+        return (1.0 - c) - bracket * bracket
 
     # excess is concave with excess(0) = 0, so it is positive on (0, c*)
     # and negative beyond: bracket the sign change and bisect

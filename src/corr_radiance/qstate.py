@@ -321,8 +321,17 @@ _EXCITED_PROJ = np.outer(KET_E, KET_E.conj())
 _NUMBER_OP = np.kron(_EXCITED_PROJ, ID2) + np.kron(ID2, _EXCITED_PROJ)
 
 
+def excitation_probabilities(stack) -> np.ndarray:
+    """Expected number of excited atoms, tr[(P_e x I + I x P_e) rho], of each
+    state in a (k, 4, 4) stack, in one batched product."""
+    s = np.asarray(stack)
+    if s.ndim != 3 or s.shape[1:] != (4, 4):
+        raise ValueError(f"excitation probability needs two-atom (4x4) states, got shape {s.shape}")
+    return np.trace(_NUMBER_OP @ s, axis1=1, axis2=2).real
+
+
 def excitation_probability(rho: DensityMatrix) -> float:
     """Expected number of excited atoms, tr[(P_e x I + I x P_e) rho]."""
     if rho.dim != 4:
         raise ValueError("excitation probability needs a two-atom (4x4) state")
-    return float(np.real(np.trace(_NUMBER_OP @ rho.mat)))
+    return float(excitation_probabilities(rho.mat[np.newaxis])[0])

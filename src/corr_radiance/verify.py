@@ -25,18 +25,19 @@ from .correlations import (
     discord_werner_closed,
 )
 from .emission import (
+    STATISTICS,
     DetectionGeometry,
-    field_operator,
-    g2_closed_werner,
+    PhotonStatistics,
     g2_oracle,
-    intensity_closed_x,
     intensity_oracle,
     radiance_boundary,
+    werner_emission,
+    x_intensity,
 )
 from .qstate import (
     DensityMatrix,
     XStateParams,
-    excitation_probability,
+    excitation_probabilities,
     make_werner,
     make_x_state,
     partial_traces,
@@ -84,6 +85,11 @@ def _geometry_grid() -> list[DetectionGeometry]:
     return geoms
 
 
+def _cos_phases(geoms: list[DetectionGeometry]) -> np.ndarray:
+    # math.cos, as the sweeps take it
+    return np.array([math.cos(geom.phase) for geom in geoms])
+
+
 @functools.cache
 def _x_state_grid() -> tuple[DensityMatrix, ...]:
     """The states of ``valid_x_params()``, built as one stack and validated by
@@ -119,7 +125,7 @@ def suite_marginals(tol_scale: float = 1.0) -> SuiteResult:
 
 
 def suite_excitation(tol_scale: float = 1.0) -> SuiteResult:
-    dev = max(abs(excitation_probability(rho) - 1.0) for rho in _x_state_grid())
+    dev = float(np.max(np.abs(excitation_probabilities(_x_state_stack()) - 1.0)))
     return _result("one excitation shared between the atoms", dev, 1e-12, tol_scale)
 
 
@@ -201,11 +207,14 @@ def suite_intensity_oracle(tol_scale: float = 1.0) -> SuiteResult:
     params = valid_x_params(step=0.4)
     geoms = _geometry_grid()
     assert len(params) * len(geoms) >= 1000
-    dev = 0.0
-    for p, rho in zip(params, x_states(params)):
-        for geom in geoms:
-            dev = max(dev, abs(intensity_oracle(rho, geom) - intensity_closed_x(p, geom)))
+    oracle = np.array([[intensity_oracle(rho, geom) for geom in geoms] for rho in x_states(params)])
+    half_sums = np.array([0.5 * (p.cx + p.cy) for p in params])
+    dev = float(np.max(np.abs(oracle - x_intensity(half_sums[:, None], _cos_phases(geoms)))))
     return _result("intensity trace matches closed form", dev, 1e-12, tol_scale)
+
+
+def _nan_if_none(value: float | None) -> float:
+    return math.nan if value is None else value
 
 
 def suite_g2_oracle(tol_scale: float = 1.0) -> SuiteResult:
@@ -213,20 +222,17 @@ def suite_g2_oracle(tol_scale: float = 1.0) -> SuiteResult:
     for kl in (1.7, math.pi, 2.0 * math.pi, 3.0 * math.pi):
         for s in np.linspace(-1.0, 1.0, 13):
             geoms.append(DetectionGeometry.from_sin_beta(kl, float(s)))
-    dev = 0.0
-    defined = 0
-    for c in np.arange(0.0, 1.0 + 1e-12, 0.05):
-        c = float(round(c, 10))
-        rho = make_werner(c)
-        for geom in geoms:
-            closed = g2_closed_werner(c, geom)
-            numeric = g2_oracle(rho, geom)
-            if (closed is None) != (numeric is None):
-                dev = max(dev, 1.0)
-            elif closed is not None:
-                defined += 1
-                dev = max(dev, abs(numeric - closed))
-    assert defined >= 1000
+    cs = [float(round(c, 10)) for c in np.arange(0.0, 1.0 + 1e-12, 0.05)]
+    closed = werner_emission(np.array(cs)[:, None], _cos_phases(geoms))
+    oracle = np.array(
+        [[_nan_if_none(g2_oracle(rho, geom)) for geom in geoms] for rho in map(make_werner, cs)]
+    )
+    defined = ~closed.undefined & ~np.isnan(oracle)
+    assert np.count_nonzero(defined) >= 1000
+    dev = max(
+        float(np.max(np.abs(oracle - closed.g2), where=defined, initial=0.0)),
+        float(np.any(closed.undefined != np.isnan(oracle))),
+    )
     return _result("g2 trace ratio matches closed form", dev, 1e-12, tol_scale)
 
 
@@ -254,54 +260,38 @@ def suite_phase_convention(tol_scale: float = 1.0) -> SuiteResult:
 
 
 def suite_monotone_enhancement(tol_scale: float = 1.0) -> SuiteResult:
-    geom_fwd = DetectionGeometry.from_sin_beta(math.pi, 1.0)
-    geom_bwd = DetectionGeometry.from_sin_beta(math.pi, 0.0)
-    rising, falling = [], []
-    for d in np.linspace(0.0, 1.0, 21):
-        c = discord_to_c(float(d))
-        p = XStateParams(-c, -c, -c)
-        rising.append(intensity_closed_x(p, geom_fwd))
-        falling.append(intensity_closed_x(p, geom_bwd))
-    rising, falling = np.array(rising), np.array(falling)
+    c = np.array([discord_to_c(float(d)) for d in np.linspace(0.0, 1.0, 21)])
+    geoms = [DetectionGeometry.from_sin_beta(math.pi, s) for s in (1.0, 0.0)]
+    rising, falling = x_intensity(-c[:, None], _cos_phases(geoms)).T
     dev = max(float(np.max(rising[:-1] - rising[1:])), float(np.max(falling[1:] - falling[:-1])))
     return _result("intensity strictly monotone in discord", dev, 0.0, tol_scale)
 
 
 def suite_boundary_neutrality(tol_scale: float = 1.0) -> SuiteResult:
-    dev = 0.0
-    for kl in (math.pi, 3.0 * math.pi):
-        for s in radiance_boundary(kl):
-            geom = DetectionGeometry.from_sin_beta(kl, s)
-            for c in np.arange(0.0, 1.0 + 1e-12, 0.1):
-                p = XStateParams(-float(c), -float(c), -float(c))
-                dev = max(dev, abs(intensity_closed_x(p, geom) - 1.0))
+    geoms = [
+        DetectionGeometry.from_sin_beta(kl, s)
+        for kl in (math.pi, 3.0 * math.pi)
+        for s in radiance_boundary(kl)
+    ]
+    c = np.arange(0.0, 1.0 + 1e-12, 0.1)
+    dev = float(np.max(np.abs(x_intensity(-c, _cos_phases(geoms)[:, None]) - 1.0)))
     return _result("unit intensity on the radiance boundary", dev, 1e-12, tol_scale)
 
 
 def suite_superradiant_statistics(tol_scale: float = 1.0) -> SuiteResult:
-    dev = -math.inf
-    for s in (-0.95, -0.75, -0.55, 0.55, 0.75, 0.95):
-        geom = DetectionGeometry.from_sin_beta(math.pi, s)
-        previous = None
-        for d in np.linspace(0.0, 1.0, 50):
-            c = discord_to_c(float(d))
-            g2 = g2_closed_werner(c, geom)
-            if 0.0 < c < 1.0:
-                dev = max(dev, g2 - 1.0)
-            if previous is not None:
-                dev = max(dev, g2 - previous)
-            previous = g2
+    geoms = [DetectionGeometry.from_sin_beta(math.pi, s) for s in (-0.95, -0.75, -0.55, 0.55, 0.75, 0.95)]
+    c = np.array([discord_to_c(float(d)) for d in np.linspace(0.0, 1.0, 50)])
+    g2 = werner_emission(c, _cos_phases(geoms)[:, None]).g2
+    inside = (0.0 < c) & (c < 1.0)
+    dev = max(float(np.max(g2[:, inside] - 1.0)), float(np.max(g2[:, 1:] - g2[:, :-1])))
     return _result("superradiant lobes stay sub-Poissonian", dev, 0.0, tol_scale)
 
 
 def suite_transition_sign_structure(tol_scale: float = 1.0) -> SuiteResult:
     geom = DetectionGeometry.from_sin_beta(math.pi, 0.2)
-    signs = []
-    for c in np.linspace(1e-6, 1.0 - 1e-6, 2001):
-        g2 = g2_closed_werner(float(c), geom)
-        if abs(g2 - 1.0) > 1e-12:
-            signs.append(1 if g2 > 1.0 else -1)
-    flips = sum(1 for a, b in zip(signs[:-1], signs[1:]) if a != b)
+    codes = werner_emission(np.linspace(1e-6, 1.0 - 1e-6, 2001), math.cos(geom.phase)).statistics
+    signs = codes[codes != STATISTICS.index(PhotonStatistics.POISSONIAN)]
+    flips = np.count_nonzero(signs[1:] != signs[:-1])
     return _result("single statistics crossing at the reference angle", abs(flips - 1), 0.0, tol_scale)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from corr_radiance.emission import (
     MAX_KL,
+    STATISTICS,
     DetectionGeometry,
     PhotonStatistics,
     Radiance,
@@ -18,6 +19,7 @@ from corr_radiance.emission import (
     intensity_closed_x,
     intensity_oracle,
     radiance_boundary,
+    x_emission,
 )
 from corr_radiance.correlations import discord_to_c, discord_werner_closed
 from corr_radiance.qstate import (
@@ -190,6 +192,30 @@ class TestClassification:
     def test_rejects_negative_intensity(self):
         with pytest.raises(ValueError):
             classify(-0.1, 1.0)
+
+    @pytest.mark.parametrize(
+        "value, radiance, statistics",
+        [
+            (1.0 - 1.5e-12, Radiance.SUB, PhotonStatistics.SUB_POISSONIAN),
+            (1.0 - 5e-13, Radiance.NEUTRAL, PhotonStatistics.POISSONIAN),
+            (1.0 + 5e-13, Radiance.NEUTRAL, PhotonStatistics.POISSONIAN),
+            (1.0 + 1.5e-12, Radiance.SUPER, PhotonStatistics.SUPER_POISSONIAN),
+        ],
+    )
+    def test_classify_and_the_kernel_share_the_band_edges(self, value, radiance, statistics):
+        report = classify(value, value)
+        assert (report.radiance, report.statistics) == (radiance, statistics)
+        # unit intensity at cos phase = 0, so g2 = 1 + cz
+        assert STATISTICS[x_emission(0.0, value - 1.0, 0.0).statistics] is statistics
+
+    @pytest.mark.parametrize("c, undefined", [(1.0 - 2e-12, False), (1.0 - 5e-13, True), (1.0, True)])
+    def test_kernel_g2_is_undefined_below_the_intensity_tolerance(self, c, undefined):
+        # the intensity is 1 - c here, on either side of 1e-12
+        e = x_emission(-c, -c, 1.0)
+        assert bool(e.undefined) is undefined
+        assert math.isnan(e.g2) is undefined
+        assert (STATISTICS[e.statistics] is PhotonStatistics.UNDEFINED) is undefined
+        assert (g2_closed_werner(c, DetectionGeometry.from_sin_beta(PI, 0.0)) is None) is undefined
 
 
 class TestRadianceBoundary:

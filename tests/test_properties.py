@@ -18,6 +18,7 @@ from corr_radiance.emission import (
     g2_oracle,
     intensity_closed_x,
     intensity_oracle,
+    x_emission,
 )
 from corr_radiance.qstate import XStateParams, make_werner, make_x_state
 
@@ -77,6 +78,23 @@ def test_g2_closed_form_matches_the_trace_to_its_conditioning(c, geom):
     assert (closed is None) == (numeric is None)
     if closed is not None:
         assert abs(numeric - closed) <= G2_TOL + 16.0 * EPS * closed / abs(bracket)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(params=x_params(), geom=geometries)
+def test_emission_kernel_matches_the_traces_off_the_werner_line(params, geom):
+    # g2 = (1 + cz)/I^2 for every Bell-diagonal state, with the same
+    # conditioning in I as on the Werner line
+    e = x_emission(0.5 * (params.cx + params.cy), params.cz, math.cos(geom.phase))
+    intensity = float(e.intensity)
+    assume(abs(intensity - UNDEFINED_INTENSITY_TOL) > 1e-14)
+    rho = make_x_state(params)
+    assert abs(intensity_oracle(rho, geom) - intensity) <= INTENSITY_TOL
+    numeric = g2_oracle(rho, geom)
+    assert bool(e.undefined) == (numeric is None)
+    if numeric is not None:
+        g2 = float(e.g2)
+        assert abs(numeric - g2) <= G2_TOL + 16.0 * EPS * g2 / intensity
 
 
 # the tolerance discord_to_c bisects to, in c and in discord

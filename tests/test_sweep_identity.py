@@ -1,9 +1,10 @@
 """Byte identity of the array sweeps and column renderers.
 
-``reference_output`` builds every table cell by cell from the scalar library
-functions (``discord_to_c``, ``intensity_closed_x``, ``g2_closed_werner``,
-``classify``) and renders it row by row through ``_fmt`` and
-``json.dumps(indent=2)``.  The CLI must write exactly the same bytes.
+``reference_output`` builds every table cell by cell from ``discord_to_c`` and
+the Werner closed forms written out in plain Python below (``_intensity``,
+``_g2``, ``_statistics``), apart from the library's emission kernel, and
+renders it row by row through ``_fmt`` and ``json.dumps(indent=2)``.  The CLI
+must write exactly the same bytes.
 """
 
 import json
@@ -55,10 +56,30 @@ def _werner(c):
     return XStateParams(-c, -c, -c)
 
 
+def _intensity(c, geom):
+    return 1.0 - c * math.cos(geom.phase)
+
+
+def _g2(c, geom):
+    bracket = _intensity(c, geom)
+    if abs(bracket) < 1e-12:
+        return None
+    return (1.0 - c) / (bracket * bracket)
+
+
+def _statistics(g2):
+    if g2 is None:
+        return "undefined"
+    if g2 > 1.0 + 1e-12:
+        return "super_poissonian"
+    if g2 < 1.0 - 1e-12:
+        return "sub_poissonian"
+    return "poissonian"
+
+
 def _g2_cells(c, geom):
-    g2 = g2_closed_werner(c, geom)
-    report = classify(intensity_closed_x(_werner(c), geom), g2)
-    return g2, report.statistics.value, "undefined" if g2 is None else ""
+    g2 = _g2(c, geom)
+    return g2, _statistics(g2), "undefined" if g2 is None else ""
 
 
 def _fig5_rows(cfg):
@@ -91,14 +112,12 @@ def _transition_rows(cfg):
 
 def reference_table(cfg, suite_results):
     if cfg.command == "fig2":
-        return ("D", "c", "sin_beta", "I"), _plane(
-            cfg, lambda c, geom: (intensity_closed_x(_werner(c), geom),)
-        )
+        return ("D", "c", "sin_beta", "I"), _plane(cfg, lambda c, geom: (_intensity(c, geom),))
     if cfg.command == "fig3":
         fwd = DetectionGeometry.from_sin_beta(cfg.kl, 1.0)
         bwd = DetectionGeometry.from_sin_beta(cfg.kl, 0.0)
         return ("D", "c", "I_sinb1", "I_sinb0"), [
-            (d, c, intensity_closed_x(_werner(c), fwd), intensity_closed_x(_werner(c), bwd))
+            (d, c, _intensity(c, fwd), _intensity(c, bwd))
             for d, c in _discord_axis(cfg)
         ]
     if cfg.command == "fig4":
@@ -201,7 +220,8 @@ def test_verify_table_is_byte_identical(fmt, suite_results, tmp_path, monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# the array kernels against the scalar functions, value by value
+# the array kernel and the scalar functions against the in-test closed forms,
+# value by value
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kl", KLS)
@@ -212,12 +232,13 @@ def test_emission_kernel_is_the_scalar_kernel_bit_for_bit(kl):
     e = werner_emission(c[:, None], np.array([[math.cos(g.phase) for g in geoms]]))
     for i, ci in enumerate(c.tolist()):
         for j, geom in enumerate(geoms):
-            intensity = intensity_closed_x(XStateParams(-ci, -ci, -ci), geom)
-            g2 = g2_closed_werner(ci, geom)
-            assert e.intensity[i, j] == intensity
+            intensity, g2 = _intensity(ci, geom), _g2(ci, geom)
+            assert e.intensity[i, j] == intensity == intensity_closed_x(_werner(ci), geom)
             assert e.undefined[i, j] == (g2 is None)
+            assert g2_closed_werner(ci, geom) == g2
             assert math.isnan(e.g2[i, j]) if g2 is None else e.g2[i, j] == g2
-            assert STATISTICS[e.statistics[i, j]] is classify(intensity, g2).statistics
+            assert STATISTICS[e.statistics[i, j]].value == _statistics(g2)
+            assert classify(intensity, g2).statistics.value == _statistics(g2)
 
 
 # ---------------------------------------------------------------------------
