@@ -43,10 +43,6 @@ COMMANDS = ("fig2", "fig3", "fig4", "fig5", "transition", "verify")
 # largest table a command may write; larger grids fail before anything is built
 MAX_TABLE_ROWS = 2**22
 
-# band around g2 = 1 treated as an exact crossing in the fig5 marker
-_CROSSING_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -303,22 +299,29 @@ def cmd_fig4(cfg: RunConfig) -> Table:
     )
 
 
-def cmd_fig5(cfg: RunConfig) -> Table:
-    """g2 against discord at a fixed angle, marking where it crosses 1.
+def _crossing_marks(statistics: np.ndarray, undefined: np.ndarray) -> np.ndarray:
+    """1 (int8) at the rows of a g2 column where it crosses 1, else 0.
 
-    A defined point is marked when it lies within _CROSSING_TOL of 1 (except
-    in the first row), or when it lies on the other side of 1 than the
-    previous defined point and that point was not within _CROSSING_TOL of 1.
+    The side of 1 is that of the statistics label, so the marks follow its
+    +/- CLASSIFY_TOL band.  A defined row is marked when it is Poissonian
+    (except in the first row), or when it lies on the other side of 1 than
+    the previous defined row and that row was not Poissonian.
     """
-    d, c = _discord_axis(cfg)
-    e = werner_emission(c, _cos_phase(cfg.kl, cfg.sin_beta))
-    defined = np.flatnonzero(~e.undefined)
-    g2 = e.g2[defined]
-    sign = np.where(np.abs(g2 - 1.0) <= _CROSSING_TOL, 0, np.where(g2 > 1.0, 1, -1))
+    defined = np.flatnonzero(~undefined)
+    # a defined row's STATISTICS code is 1 + the band of its g2
+    sign = statistics[defined] - 1
     previous = np.concatenate(([0], sign[:-1]))
     crossing = np.where(sign == 0, defined > 0, (previous != 0) & (sign != previous))
-    marks = np.zeros(d.size, dtype=np.int8)
+    marks = np.zeros(statistics.size, dtype=np.int8)
     marks[defined[crossing]] = 1
+    return marks
+
+
+def cmd_fig5(cfg: RunConfig) -> Table:
+    """g2 against discord at a fixed angle, marking where it crosses 1
+    (see ``_crossing_marks``)."""
+    d, c = _discord_axis(cfg)
+    e = werner_emission(c, _cos_phase(cfg.kl, cfg.sin_beta))
     return Table(
         ("D", "c", "g2", "statistics", "flag", "transition"),
         (
@@ -327,7 +330,7 @@ def cmd_fig5(cfg: RunConfig) -> Table:
             e.g2,
             Labels(e.statistics, _STATISTICS_NAMES),
             Labels(e.undefined.view(np.int8), _FLAG_NAMES),
-            Labels(marks, ("", "crossing")),
+            Labels(_crossing_marks(e.statistics, e.undefined), ("", "crossing")),
         ),
     )
 

@@ -102,18 +102,40 @@ def field_operator(geom: DetectionGeometry, convention: str = "indexed") -> CMat
     return np.exp(-1j * alpha1) * sigma_minus(1) + np.exp(-1j * alpha2) * sigma_minus(2)
 
 
-def _real_trace(value: complex, label: str) -> float:
-    if abs(value.imag) > _IMAG_TOL:
-        raise ValueError(f"{label} came out non-real (imaginary part {value.imag:.3g})")
-    return float(value.real)
+def _real_traces(stack: np.ndarray, op: CMatrix, label: str, members=slice(None)) -> np.ndarray:
+    """tr(rho op† op) of each state in a (k, 4, 4) stack, as (rho op†) op.
+
+    Raises ValueError naming ``label`` at the first of ``members`` whose
+    trace has an imaginary part above _IMAG_TOL.
+    """
+    values = np.trace(stack @ dagger(op) @ op, axis1=-2, axis2=-1)
+    for value in values[members]:
+        if abs(value.imag) > _IMAG_TOL:
+            raise ValueError(f"{label} came out non-real (imaginary part {value.imag:.3g})")
+    return values.real
+
+
+def _oracle_stack(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+    """A DensityMatrix as a stack of one, or a (k, 4, 4) stack as it is."""
+    if isinstance(rho, DensityMatrix):
+        return rho.mat[np.newaxis]
+    stack = np.asarray(rho)
+    if stack.ndim != 3 or stack.shape[1:] != (4, 4):
+        raise ValueError(f"the oracles need two-atom (4x4) states, got shape {stack.shape}")
+    return stack
 
 
 def intensity_oracle(
-    rho: DensityMatrix, geom: DetectionGeometry, convention: str = "indexed"
-) -> float:
-    """Radiated intensity tr(rho E- E+) evaluated by operator algebra."""
-    ep = field_operator(geom, convention)
-    return _real_trace(complex(np.trace(rho.mat @ dagger(ep) @ ep)), "intensity")
+    rho: DensityMatrix | np.ndarray, geom: DetectionGeometry, convention: str = "indexed"
+) -> float | np.ndarray:
+    """Radiated intensity tr(rho E- E+) evaluated by operator algebra.
+
+    ``rho`` is a DensityMatrix, which gives a float, or a (k, 4, 4) stack of
+    states, which gives one intensity per member as an array; a DensityMatrix
+    is a stack of one.
+    """
+    intensity = _real_traces(_oracle_stack(rho), field_operator(geom, convention), "intensity")
+    return float(intensity[0]) if isinstance(rho, DensityMatrix) else intensity
 
 
 def intensity_closed_x(params: XStateParams, geom: DetectionGeometry) -> float:
@@ -122,22 +144,29 @@ def intensity_closed_x(params: XStateParams, geom: DetectionGeometry) -> float:
 
 
 def g2_oracle(
-    rho: DensityMatrix, geom: DetectionGeometry, convention: str = "indexed"
-) -> float | None:
+    rho: DensityMatrix | np.ndarray, geom: DetectionGeometry, convention: str = "indexed"
+) -> float | None | np.ndarray:
     """Zero-delay second-order coherence tr(rho E-^2 E+^2) / tr(rho E- E+)^2.
 
-    Returns None where the intensity vanishes (below 1e-12): there the ratio
-    is 0/0 and no statistics label applies.
+    ``rho`` is a DensityMatrix or a (k, 4, 4) stack, as in
+    ``intensity_oracle``.  Where the intensity vanishes (below 1e-12) the
+    ratio is 0/0 and no statistics label applies: a DensityMatrix gives None
+    there and a stack NaN.  Only the pair rates of the other members must be
+    real.
     """
+    stack = _oracle_stack(rho)
     ep = field_operator(geom, convention)
-    intensity = _real_trace(complex(np.trace(rho.mat @ dagger(ep) @ ep)), "intensity")
-    if intensity < UNDEFINED_INTENSITY_TOL:
-        return None
-    ep2 = ep @ ep
-    numerator = _real_trace(
-        complex(np.trace(rho.mat @ dagger(ep2) @ ep2)), "photon-pair rate"
-    )
-    return numerator / intensity**2
+    intensity = _real_traces(stack, ep, "intensity")
+    defined = ~(intensity < UNDEFINED_INTENSITY_TOL)
+    numerator = _real_traces(stack, ep @ ep, "photon-pair rate", defined)
+    # Python floats, so that i**2 is libm pow for every member
+    g2 = np.array([
+        n / i**2 if ok else math.nan
+        for n, i, ok in zip(numerator.tolist(), intensity.tolist(), defined.tolist())
+    ])
+    if isinstance(rho, DensityMatrix):
+        return float(g2[0]) if defined[0] else None
+    return g2
 
 
 def g2_closed_werner(c: float, geom: DetectionGeometry) -> float | None:

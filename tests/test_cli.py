@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from corr_radiance import verify
-from corr_radiance.emission import CLASSIFY_TOL
+from corr_radiance.emission import CLASSIFY_TOL, STATISTICS, PhotonStatistics, x_emission
 from corr_radiance.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -22,6 +22,7 @@ from corr_radiance.cli import (
     cmd_fig3,
     cmd_fig4,
     cmd_fig5,
+    _crossing_marks,
     cmd_transition,
     main,
     render_csv,
@@ -79,6 +80,15 @@ class TestTables:
         assert table.rows[0][2] == pytest.approx(1.0, abs=1e-12)
         assert table.rows[0][3] == "poissonian"
         assert table.rows[-1][3] == "sub_poissonian"
+
+    @pytest.mark.parametrize("g2", [1.0 + 4504 * 2.0**-52, 1.0 - 1e-12])
+    def test_fig5_crossing_follows_the_statistics_band(self, g2):
+        # 1 + 4504 2^-52 == 1.0 + 1e-12: abs(g2 - 1) exceeds 1e-12 there,
+        # while the statistics band counts the point as Poissonian
+        e = x_emission(np.zeros(3), np.array([0.5, g2 - 1.0, -0.5]), 1.0)
+        assert e.g2[1] == g2
+        assert STATISTICS[e.statistics[1]] is PhotonStatistics.POISSONIAN
+        assert _crossing_marks(e.statistics, e.undefined).tolist() == [0, 1, 0]
 
     def test_fig5_without_crossing_has_no_marker(self):
         table = cmd_fig5(cfg("fig5", grid_d=41, sin_beta=1.0))
@@ -264,10 +274,14 @@ class TestRunConfigValidation:
             cfg(command, grid_d=10**9, grid_b=10**9).validate()
 
 
-@pytest.mark.parametrize(
-    "suite",
-    [verify.suite_discord_oracle, verify.suite_discord_symmetry, verify.suite_discord_zero_at_classical],
+DISCORD_SUITES = (
+    verify.suite_discord_oracle,
+    verify.suite_discord_symmetry,
+    verify.suite_discord_zero_at_classical,
 )
+
+
+@pytest.mark.parametrize("suite", DISCORD_SUITES)
 def test_unconverged_discord_optimum_fails_the_suite(suite, monkeypatch):
     real = verify.discord_numeric
     monkeypatch.setattr(
@@ -277,3 +291,42 @@ def test_unconverged_discord_optimum_fails_the_suite(suite, monkeypatch):
     result = suite()
     assert not result.passed
     assert result.max_deviation == math.inf
+
+
+def count_optima(monkeypatch) -> list:
+    calls = []
+    real = verify.discord_numeric
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "discord_numeric", counted)
+    return calls
+
+
+def test_discord_optima_are_shared_within_one_run_only(monkeypatch):
+    calls = count_optima(monkeypatch)
+    # of the suites' 16 optima, c = 0 and the measured-2 ones at c = 0.3 and
+    # 0.9 are the oracle suite's own
+    assert all(r.passed for r in verify.run_all())
+    assert len(calls) == 13
+    calls.clear()
+    for suite in DISCORD_SUITES:
+        suite()
+    assert len(calls) == 16
+
+
+def test_a_run_that_raises_shares_no_optima_afterwards(monkeypatch):
+    calls = count_optima(monkeypatch)
+
+    def failing(tol_scale):
+        raise RuntimeError("suite failed")
+
+    monkeypatch.setattr(verify, "ALL_SUITES", (verify.suite_discord_oracle, failing))
+    with pytest.raises(RuntimeError, match="suite failed"):
+        verify.run_all()
+    assert len(calls) == 11
+    calls.clear()
+    verify.suite_discord_zero_at_classical()
+    assert len(calls) == 1

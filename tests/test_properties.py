@@ -1,12 +1,15 @@
 """Property tests at random inputs: each closed form against its operator-trace
-oracle, the discord inversion against the discord curve, and the JSON table
-against the CSV table it must read back as."""
+oracle, the stacked oracles against one-state calls, the discord inversion
+against the discord curve, and the JSON table against the CSV table it must
+read back as."""
 
 import json
 import math
 import sys
 
-from hypothesis import assume, given, settings
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corr_radiance.cli import MAX_KL, RunConfig, cmd_fig4, cmd_fig5, render_csv, render_json
@@ -20,7 +23,7 @@ from corr_radiance.emission import (
     intensity_oracle,
     x_emission,
 )
-from corr_radiance.qstate import XStateParams, make_werner, make_x_state
+from corr_radiance.qstate import DensityMatrix, XStateParams, make_werner, make_x_state, x_states
 
 # the tolerances of verify.suite_intensity_oracle and verify.suite_g2_oracle
 INTENSITY_TOL = 1e-12
@@ -95,6 +98,71 @@ def test_emission_kernel_matches_the_traces_off_the_werner_line(params, geom):
     if numeric is not None:
         g2 = float(e.g2)
         assert abs(numeric - g2) <= G2_TOL + 16.0 * EPS * g2 / intensity
+
+
+# the singlet cx = cy = cz = -1 is dark wherever cos(kl sin beta) = 1
+SINGLET = XStateParams(-1.0, -1.0, -1.0)
+stacks = st.lists(st.one_of(x_params(), st.just(SINGLET)), min_size=1, max_size=8)
+conventions = st.sampled_from(("indexed", "centered"))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(params=stacks, geom=geometries, convention=conventions)
+@example(params=[XStateParams(0.0, 0.0, 0.0), SINGLET], geom=DetectionGeometry(2.0, 0.0), convention="centered")
+def test_stacked_oracles_equal_one_state_calls(params, geom, convention):
+    states = x_states(params)
+    stack = np.stack([rho.mat for rho in states])
+    intensity = intensity_oracle(stack, geom, convention)
+    g2 = g2_oracle(stack, geom, convention)
+    assert intensity.shape == g2.shape == (len(params),)
+    for rho, i, g in zip(states, intensity.tolist(), g2.tolist()):
+        assert i.hex() == intensity_oracle(rho, geom, convention).hex()
+        one = g2_oracle(rho, geom, convention)
+        if one is None:
+            assert math.isnan(g)
+        else:
+            assert g.hex() == one.hex()
+
+
+def unvalidated(mat) -> DensityMatrix:
+    """A DensityMatrix holding ``mat`` without the construction checks, to
+    reach the oracles' own non-real test."""
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "mat", mat)
+    return rho
+
+
+# imaginary parts on the diagonal that make tr(rho E- E+) non-real, and ones
+# that leave it real (E- E+ has diagonal 2, 1, 1, 0) but make the pair rate
+# tr(rho E-^2 E+^2) non-real (E-^2 E+^2 = 4 |ee><ee|)
+NON_REAL = {
+    "intensity": ((1, 1, 0.25j),),
+    "photon-pair rate": ((0, 0, 0.25j), (1, 1, -0.25j), (2, 2, -0.25j)),
+}
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    params=stacks,
+    at=st.integers(0, 8),
+    label=st.sampled_from(sorted(NON_REAL)),
+    geom=geometries,
+    convention=conventions,
+)
+def test_a_non_real_member_raises_as_it_does_alone(params, at, label, geom, convention):
+    stack = np.stack([rho.mat for rho in x_states(params)])
+    # a member of intensity 1, so that its pair rate is checked too
+    bad = make_x_state(XStateParams(0.0, 0.0, 0.0)).mat.copy()
+    for row, col, value in NON_REAL[label]:
+        bad[row, col] += value
+    stack = np.insert(stack, min(at, len(params)), bad, axis=0)
+    oracles = (g2_oracle,) if label == "photon-pair rate" else (intensity_oracle, g2_oracle)
+    for oracle in oracles:
+        with pytest.raises(ValueError, match=f"^{label} came out non-real") as alone:
+            oracle(unvalidated(bad), geom, convention)
+        with pytest.raises(ValueError) as stacked:
+            oracle(stack, geom, convention)
+        assert str(stacked.value) == str(alone.value)
 
 
 # the tolerance discord_to_c bisects to, in c and in discord

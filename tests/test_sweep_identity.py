@@ -90,12 +90,12 @@ def _fig5_rows(cfg):
     for i, (d, c, g2, statistics, flag) in enumerate(entries):
         mark = ""
         if g2 is not None:
-            if abs(g2 - 1.0) <= 1e-12:
+            if statistics == "poissonian":
                 sign = 0
                 if i > 0:
                     mark = "crossing"
             else:
-                sign = 1 if g2 > 1.0 else -1
+                sign = 1 if statistics == "super_poissonian" else -1
                 if previous_sign in (1, -1) and sign != previous_sign:
                     mark = "crossing"
             previous_sign = sign
