@@ -426,16 +426,8 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
 
-    cfg = RunConfig(
-        command=args.command,
-        kl=args.kl,
-        grid_d=args.grid_d,
-        grid_b=args.grid_b,
-        sin_beta=args.sin_beta,
-        format=args.format,
-        out=args.out,
-        tol_scale=args.tol_scale,
-    )
+    # the parser's dests are exactly the fields of RunConfig
+    cfg = RunConfig(**vars(args))
     try:
         cfg.validate()
     except ValueError as exc:

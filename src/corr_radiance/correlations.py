@@ -111,14 +111,16 @@ def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.nd
 
 # measurement directions per _conditional_entropy call in the grid scan
 _SCAN_CHUNK = 512
+# the pattern search stops once a sweep gains less than DISCORD_TOL, and
+# reports unconverged after DISCORD_MAX_DEPTH sweeps
+DISCORD_TOL = 1e-8
+DISCORD_MAX_DEPTH = 50
 
 
 def discord_numeric(
     rho: DensityMatrix,
     measured: int = 2,
     grid: int = 64,
-    tol: float = 1e-8,
-    max_depth: int = 50,
 ) -> DiscordResult:
     """Discord by direct minimization over projective measurements.
 
@@ -127,14 +129,14 @@ def discord_numeric(
     the other atom.  The minimization runs an exhaustive grid x grid scan
     over the measurement Bloch angles (theta, phi) followed by pattern
     search with step halving; it stops once a sweep improves the objective
-    by less than ``tol``.  Grid ties resolve to the lowest (theta, phi)
+    by less than ``DISCORD_TOL``.  Grid ties resolve to the lowest (theta, phi)
     in lexicographic order.
 
     Returns
     -------
     DiscordResult
-        ``converged`` is False if the refinement depth cap was exhausted
-        before the improvement dropped below ``tol``.
+        ``converged`` is False if the ``DISCORD_MAX_DEPTH`` sweeps ran out
+        before the improvement dropped below ``DISCORD_TOL``.
     """
     if measured not in (1, 2):
         raise ValueError(f"measured atom must be 1 or 2, got {measured}")
@@ -165,7 +167,7 @@ def discord_numeric(
     step_t = math.pi / grid
     step_p = 2.0 * math.pi / grid
     converged = False
-    for _ in range(max_depth):
+    for _ in range(DISCORD_MAX_DEPTH):
         before = best_f
         moves = ((step_t, 0.0), (-step_t, 0.0), (0.0, step_p), (0.0, -step_p))
         evaluations += len(moves)
@@ -184,7 +186,7 @@ def discord_numeric(
             moves = moves[k + 1:]
         gain = before - best_f
         if gain > 0.0:
-            if gain < tol:
+            if gain < DISCORD_TOL:
                 converged = True
                 break
         else:

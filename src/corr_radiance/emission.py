@@ -220,11 +220,11 @@ def x_intensity(half_sum, cos_phase):
 def x_emission(half_sum, cz, cos_phase) -> Emission:
     """Intensity, g2 = (1 + cz)/I^2 and statistics of Bell-diagonal states.
 
-    The arguments broadcast against each other; g2 is undefined where the
-    intensity is below UNDEFINED_INTENSITY_TOL.  The Werner state c is
-    half_sum = cz = -c, and since (-c) x = -(c x) and 1 + (-y) = 1 - y
-    exactly, its values are those of 1 - c cos phi and (1 - c)/(1 - c cos phi)^2
-    bit for bit.  ``cos_phase`` should come from ``math.cos``, whose last ulp
+    The arguments broadcast against each other, and every field has the
+    shape of all three; g2 is undefined where the intensity is below
+    UNDEFINED_INTENSITY_TOL.  The Werner state c is half_sum = cz = -c, and
+    since (-c) x = -(c x) and 1 + (-y) = 1 - y exactly, its values are those
+    of 1 - c cos phi and (1 - c)/(1 - c cos phi)^2 bit for bit.  ``cos_phase`` should come from ``math.cos``, whose last ulp
     is the scalar functions' own.
     """
     intensity = np.asarray(x_intensity(half_sum, cos_phase), dtype=float)
@@ -233,7 +233,13 @@ def x_emission(half_sum, cz, cos_phase) -> Emission:
     undefined = intensity < UNDEFINED_INTENSITY_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         g2 = np.where(undefined, np.nan, (1.0 + cz) / (intensity * intensity))
-    return Emission(intensity, g2, undefined, np.where(undefined, _UNDEFINED, _band(g2) + 1))
+    # g2 alone broadcasts against cz too
+    return Emission(
+        np.broadcast_to(intensity, g2.shape),
+        g2,
+        np.broadcast_to(undefined, g2.shape),
+        np.where(undefined, _UNDEFINED, _band(g2) + 1),
+    )
 
 
 def werner_emission(c: np.ndarray, cos_phase: np.ndarray) -> Emission:

@@ -8,6 +8,7 @@ factor.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -27,9 +28,7 @@ KET_G = np.array([0.0, 1.0], dtype=complex)
 BASIS_LABELS = ("ee", "eg", "ge", "gg")
 
 ID2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 LOWERING = np.outer(KET_G, KET_E.conj())  # |g><e|
 
@@ -67,13 +66,16 @@ class XStateParams:
 
     def bell_eigenvalues(self) -> tuple[float, float, float, float]:
         """Spectrum of the state in the Bell basis."""
-        cx, cy, cz = self.cx, self.cy, self.cz
-        return (
-            (1.0 - cx - cy - cz) / 4.0,
-            (1.0 - cx + cy + cz) / 4.0,
-            (1.0 + cx - cy + cz) / 4.0,
-            (1.0 + cx + cy - cz) / 4.0,
-        )
+        return _bell_eigenvalues(self.cx, self.cy, self.cz)
+
+
+def _bell_eigenvalues(cx: float, cy: float, cz: float) -> tuple[float, float, float, float]:
+    return (
+        (1.0 - cx - cy - cz) / 4.0,
+        (1.0 - cx + cy + cz) / 4.0,
+        (1.0 + cx - cy + cz) / 4.0,
+        (1.0 + cx + cy - cz) / 4.0,
+    )
 
 
 _BELL_EIGENVALUE_EXPRS = (
@@ -82,6 +84,17 @@ _BELL_EIGENVALUE_EXPRS = (
     "(1 + cx - cy + cz)/4",
     "(1 + cx + cy - cz)/4",
 )
+
+
+def valid_x_params(step: float = 0.1) -> list[XStateParams]:
+    """All coefficient triples on a cubic grid that give a physical state,
+    by the eigenvalue test of ``XStateParams``."""
+    axis = [round(-1.0 + k * step, 10) for k in range(int(round(2.0 / step)) + 1)]
+    return [
+        XStateParams(*c)
+        for c in itertools.product(axis, axis, axis)
+        if min(_bell_eigenvalues(*c)) >= BELL_EIGENVALUE_FLOOR
+    ]
 
 
 @dataclass(frozen=True)
@@ -178,7 +191,8 @@ class DensityMatrix:
 
     Construction rejects anything that is not trace one, Hermitian, and
     positive semidefinite within tolerance; the stored array is read-only.
-    ``density_matrices`` builds many at once from a stack.
+    ``x_states`` and ``partial_traces`` validate many states at once and
+    return them as one read-only stack.
     """
 
     mat: CMatrix
@@ -194,39 +208,10 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def _views(a: np.ndarray) -> tuple[DensityMatrix, ...]:
-    """DensityMatrix views of the members of a stack from ``_frozen_valid``."""
-    states = []
-    for view in a:
-        # every member passed the stack's validation in _frozen_valid
-        state = object.__new__(DensityMatrix)
-        object.__setattr__(state, "mat", view)
-        states.append(state)
-    return tuple(states)
-
-
-def density_matrices(stack) -> tuple[DensityMatrix, ...]:
-    """One DensityMatrix per member of a (k, n, n) stack, all validated by
-    one ``validate_density`` call.
-
-    The stack is copied once; each state's ``mat`` is a read-only view of
-    that copy, which is the view's ``base``.  Raises ValueError naming the
-    index of the first member that is not a density matrix.
-    """
-    a = np.array(stack, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    return _views(_frozen_valid(a))
-
-
-def x_states(params: Sequence[XStateParams]) -> tuple[DensityMatrix, ...]:
-    """Bell-diagonal states (I + cx XX + cy YY + cz ZZ)/4, one per entry of
-    ``params``, built as one stack and validated by one call.
-
-    Each matrix is assembled literally: diagonal (1 +/- cz)/4, inner
-    anti-diagonal (cx + cy)/4, outer anti-diagonal (cx - cy)/4.  As with
-    ``density_matrices``, each ``mat`` is a read-only view of the stack.
-    """
+def _bell_diagonal(params: Sequence[XStateParams]) -> np.ndarray:
+    """Unvalidated (k, 4, 4) stack of (I + cx XX + cy YY + cz ZZ)/4, one per
+    entry of ``params``, assembled literally: diagonal (1 +/- cz)/4, inner
+    anti-diagonal (cx + cy)/4, outer anti-diagonal (cx - cy)/4."""
     cx, cy, cz = np.array([(p.cx, p.cy, p.cz) for p in params], dtype=float).reshape(-1, 3).T
     mat = np.zeros((len(cx), 4, 4), dtype=complex)
     mat[:, 0, 0] = mat[:, 3, 3] = 1.0 + cz
@@ -234,12 +219,18 @@ def x_states(params: Sequence[XStateParams]) -> tuple[DensityMatrix, ...]:
     mat[:, 1, 2] = mat[:, 2, 1] = cx + cy
     mat[:, 0, 3] = mat[:, 3, 0] = cx - cy
     mat /= 4.0
-    return _views(_frozen_valid(mat))
+    return mat
+
+
+def x_states(params: Sequence[XStateParams]) -> np.ndarray:
+    """Bell-diagonal states (I + cx XX + cy YY + cz ZZ)/4, one per entry of
+    ``params``, as one read-only (k, 4, 4) stack validated by one call."""
+    return _frozen_valid(_bell_diagonal(params))
 
 
 def make_x_state(params: XStateParams) -> DensityMatrix:
     """Bell-diagonal state (I + cx XX + cy YY + cz ZZ)/4; see ``x_states``."""
-    return x_states([params])[0]
+    return DensityMatrix(_bell_diagonal([params])[0])
 
 
 def make_werner(c: float) -> DensityMatrix:
@@ -249,25 +240,28 @@ def make_werner(c: float) -> DensityMatrix:
     return make_x_state(XStateParams(-c, -c, -c))
 
 
-def partial_traces(stack, keep: int) -> np.ndarray:
-    """Reduced states of atom ``keep`` (1 or 2) of a (k, 4, 4) stack of
-    two-atom states: one ``einsum``, then one validation of the whole
-    (k, 2, 2) result, which is returned read-only.
-
-    Raises ValueError naming the index of the first reduced state that is
-    not a density matrix.
-    """
+def _reduce(stack, keep: int) -> np.ndarray:
+    """Unvalidated reduced states of atom ``keep`` (1 or 2) of a (k, 4, 4)
+    stack of two-atom states, in one ``einsum``."""
     s = np.asarray(stack, dtype=complex)
     if s.ndim != 3 or s.shape[1:] != (4, 4):
         raise ValueError(f"partial trace needs two-atom (4x4) states, got shape {s.shape}")
     r = s.reshape(-1, 2, 2, 2, 2)
     if keep == 1:
-        reduced = np.einsum("kabcb->kac", r)
-    elif keep == 2:
-        reduced = np.einsum("kabac->kbc", r)
-    else:
-        raise ValueError(f"keep must be 1 or 2, got {keep}")
-    return _frozen_valid(reduced)
+        return np.einsum("kabcb->kac", r)
+    if keep == 2:
+        return np.einsum("kabac->kbc", r)
+    raise ValueError(f"keep must be 1 or 2, got {keep}")
+
+
+def partial_traces(stack, keep: int) -> np.ndarray:
+    """Reduced states of atom ``keep`` (1 or 2) of a (k, 4, 4) stack of
+    two-atom states, as one read-only (k, 2, 2) stack validated by one call.
+
+    Raises ValueError naming the index of the first reduced state that is
+    not a density matrix.
+    """
+    return _frozen_valid(_reduce(stack, keep))
 
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
@@ -280,7 +274,7 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     keep : int
         Atom whose reduced state is returned; the other atom is traced out.
     """
-    return _views(partial_traces(rho.mat[np.newaxis], keep))[0]
+    return DensityMatrix(_reduce(rho.mat[np.newaxis], keep)[0])
 
 
 def eigenvalue_entropy(eigenvalues) -> float:

@@ -11,7 +11,6 @@ converge counts as an infinite deviation.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -37,13 +36,13 @@ from .emission import (
     x_intensity,
 )
 from .qstate import (
-    DensityMatrix,
     XStateParams,
     excitation_probabilities,
     make_werner,
     make_x_state,
     partial_traces,
     sigma_minus,
+    valid_x_params,
     validate_density,
     von_neumann_entropy,
     x_states,
@@ -63,22 +62,6 @@ def _result(name: str, deviation: float, tolerance: float, tol_scale: float) -> 
     return SuiteResult(name, float(deviation), allowed, float(deviation) <= allowed)
 
 
-def valid_x_params(step: float = 0.1) -> list[XStateParams]:
-    """All coefficient triples on a cubic grid that give a physical state."""
-    axis = [round(-1.0 + k * step, 10) for k in range(int(round(2.0 / step)) + 1)]
-    params = []
-    for cx, cy, cz in itertools.product(axis, axis, axis):
-        lams = (
-            1.0 - cx - cy - cz,
-            1.0 - cx + cy + cz,
-            1.0 + cx - cy + cz,
-            1.0 + cx + cy - cz,
-        )
-        if min(lams) >= -1e-12:
-            params.append(XStateParams(cx, cy, cz))
-    return params
-
-
 def _geometry_grid() -> list[DetectionGeometry]:
     geoms = []
     for kl in (1.7, math.pi, 2.0 * math.pi, 3.0 * math.pi):
@@ -93,31 +76,21 @@ def _cos_phases(geoms: list[DetectionGeometry]) -> np.ndarray:
 
 
 @functools.cache
-def _x_state_grid() -> tuple[DensityMatrix, ...]:
-    """The states of ``valid_x_params()``, built as one stack and validated by
-    one call, once per process, on first use, and shared by the suites that
-    sweep them."""
+def _x_state_grid() -> np.ndarray:
+    """The states of ``valid_x_params()`` as one read-only stack from
+    ``x_states``, built once per process, on first use, and shared by the
+    suites that sweep them."""
     return x_states(valid_x_params())
 
 
-def _stack(states: tuple[DensityMatrix, ...]) -> np.ndarray:
-    """The one read-only (k, 4, 4) array that states from ``x_states`` view."""
-    return states[0].mat.base
-
-
-def _x_state_stack() -> np.ndarray:
-    """The shared grid as one array."""
-    return _stack(_x_state_grid())
-
-
 def _werner_stack(cs) -> np.ndarray:
-    """The Werner states of ``cs``, each built and validated by ``make_werner``,
-    as one (k, 4, 4) array."""
-    return np.stack([make_werner(c).mat for c in cs])
+    """The Werner states cx = cy = cz = -c of ``cs`` (each in [0, 1]) as one
+    stack from ``x_states``."""
+    return x_states([XStateParams(-c, -c, -c) for c in cs])
 
 
 def suite_x_state_validity(tol_scale: float = 1.0) -> SuiteResult:
-    check = validate_density(_x_state_stack())
+    check = validate_density(_x_state_grid())
     dev = max(
         0.0,
         float(check.trace_deviation.max()),
@@ -133,12 +106,12 @@ def suite_marginals(tol_scale: float = 1.0) -> SuiteResult:
     half = np.eye(2) / 2.0
     dev = 0.0
     for keep in (1, 2):
-        dev = max(dev, float(np.max(np.abs(partial_traces(_x_state_stack(), keep) - half))))
+        dev = max(dev, float(np.max(np.abs(partial_traces(_x_state_grid(), keep) - half))))
     return _result("reduced states are maximally mixed", dev, 1e-12, tol_scale)
 
 
 def suite_excitation(tol_scale: float = 1.0) -> SuiteResult:
-    dev = float(np.max(np.abs(excitation_probabilities(_x_state_stack()) - 1.0)))
+    dev = float(np.max(np.abs(excitation_probabilities(_x_state_grid()) - 1.0)))
     return _result("one excitation shared between the atoms", dev, 1e-12, tol_scale)
 
 
@@ -236,7 +209,7 @@ def suite_intensity_oracle(tol_scale: float = 1.0) -> SuiteResult:
     params = valid_x_params(step=0.4)
     geoms = _geometry_grid()
     assert len(params) * len(geoms) >= 1000
-    stack = _stack(x_states(params))
+    stack = x_states(params)
     oracle = np.stack([intensity_oracle(stack, geom) for geom in geoms], axis=1)
     half_sums = np.array([0.5 * (p.cx + p.cy) for p in params])
     dev = float(np.max(np.abs(oracle - x_intensity(half_sums[:, None], _cos_phases(geoms)))))

@@ -185,9 +185,8 @@ def test_sigma_minus_is_the_kron_product_and_read_only():
 def test_shared_grid_equals_freshly_built_states():
     grid = verify._x_state_grid()
     fresh = [make_x_state(p) for p in verify.valid_x_params()]
-    assert isinstance(grid, tuple) and len(grid) == len(fresh) == 3101
+    assert isinstance(grid, np.ndarray) and grid.shape == (len(fresh), 4, 4) == (3101, 4, 4)
+    assert not grid.flags.writeable
     for shared, built in zip(grid, fresh):
-        assert isinstance(shared, DensityMatrix)
-        assert np.array_equal(shared.mat, built.mat)
-        assert not shared.mat.flags.writeable
+        assert shared.tobytes() == built.mat.tobytes()
     assert verify._x_state_grid() is grid

@@ -85,7 +85,7 @@ class TestTables:
     def test_fig5_crossing_follows_the_statistics_band(self, g2):
         # 1 + 4504 2^-52 == 1.0 + 1e-12: abs(g2 - 1) exceeds 1e-12 there,
         # while the statistics band counts the point as Poissonian
-        e = x_emission(np.zeros(3), np.array([0.5, g2 - 1.0, -0.5]), 1.0)
+        e = x_emission(0.0, np.array([0.5, g2 - 1.0, -0.5]), 1.0)
         assert e.g2[1] == g2
         assert STATISTICS[e.statistics[1]] is PhotonStatistics.POISSONIAN
         assert _crossing_marks(e.statistics, e.undefined).tolist() == [0, 1, 0]

@@ -217,6 +217,19 @@ class TestClassification:
         assert (STATISTICS[e.statistics] is PhotonStatistics.UNDEFINED) is undefined
         assert (g2_closed_werner(c, DetectionGeometry.from_sin_beta(PI, 0.0)) is None) is undefined
 
+    @pytest.mark.parametrize("half_sum", [0.0, -1.0])
+    def test_kernel_fields_take_the_shape_of_all_three_arguments(self, half_sum):
+        # at cos phase 1, half_sum = -1 is dark whatever cz is
+        cz = np.array([0.5, 0.0, -1.0])
+        e = x_emission(half_sum, cz, 1.0)
+        for field in (e.intensity, e.g2, e.undefined, e.statistics):
+            assert field.shape == (3,)
+        assert e.undefined.tolist() == [half_sum == -1.0] * 3
+        singles = [x_emission(half_sum, float(z), 1.0) for z in cz]
+        for name in ("intensity", "g2", "undefined", "statistics"):
+            got = getattr(e, name)
+            assert got.tobytes() == np.array([getattr(one, name) for one in singles], dtype=got.dtype).tobytes()
+
 
 class TestRadianceBoundary:
     def test_half_wavelength_separation(self):

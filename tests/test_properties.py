@@ -110,12 +110,11 @@ conventions = st.sampled_from(("indexed", "centered"))
 @given(params=stacks, geom=geometries, convention=conventions)
 @example(params=[XStateParams(0.0, 0.0, 0.0), SINGLET], geom=DetectionGeometry(2.0, 0.0), convention="centered")
 def test_stacked_oracles_equal_one_state_calls(params, geom, convention):
-    states = x_states(params)
-    stack = np.stack([rho.mat for rho in states])
+    stack = x_states(params)
     intensity = intensity_oracle(stack, geom, convention)
     g2 = g2_oracle(stack, geom, convention)
     assert intensity.shape == g2.shape == (len(params),)
-    for rho, i, g in zip(states, intensity.tolist(), g2.tolist()):
+    for rho, i, g in zip(map(make_x_state, params), intensity.tolist(), g2.tolist()):
         assert i.hex() == intensity_oracle(rho, geom, convention).hex()
         one = g2_oracle(rho, geom, convention)
         if one is None:
@@ -150,7 +149,7 @@ NON_REAL = {
     convention=conventions,
 )
 def test_a_non_real_member_raises_as_it_does_alone(params, at, label, geom, convention):
-    stack = np.stack([rho.mat for rho in x_states(params)])
+    stack = x_states(params)
     # a member of intensity 1, so that its pair rate is checked too
     bad = make_x_state(XStateParams(0.0, 0.0, 0.0)).mat.copy()
     for row, col, value in NON_REAL[label]:

@@ -1,5 +1,6 @@
 """State construction, validation, reductions, entropy, and operator algebra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,10 +17,10 @@ from corr_radiance.qstate import (
     make_x_state,
     partial_trace,
     sigma_minus,
+    valid_x_params,
     validate_density,
     von_neumann_entropy,
 )
-from corr_radiance.verify import valid_x_params
 
 
 def ket(label):
@@ -220,3 +221,23 @@ def test_structural_invariants_over_coefficient_grid():
         assert np.max(np.abs(partial_trace(rho, 1).mat - half)) <= 1e-12
         assert np.max(np.abs(partial_trace(rho, 2).mat - half)) <= 1e-12
         assert abs(excitation_probability(rho) - 1.0) <= 1e-12
+
+
+def reference_valid_x_params(step):
+    """The grid rule as it stood apart from ``XStateParams``: its own
+    eigenvalue sums, without the /4, and its own floor."""
+    axis = [round(-1.0 + k * step, 10) for k in range(int(round(2.0 / step)) + 1)]
+    params = []
+    for cx, cy, cz in itertools.product(axis, axis, axis):
+        lams = (1.0 - cx - cy - cz, 1.0 - cx + cy + cz, 1.0 + cx - cy + cz, 1.0 + cx + cy - cz)
+        if min(lams) >= -1e-12:
+            params.append(XStateParams(cx, cy, cz))
+    return params
+
+
+@pytest.mark.parametrize("step", [0.05, 0.1, 0.25, 0.4])
+def test_grid_rule_is_the_eigenvalue_test_of_xstateparams(step):
+    params = valid_x_params(step)
+    assert params == reference_valid_x_params(step)
+    if step == 0.1:
+        assert len(params) == 3101

@@ -3,11 +3,11 @@
 ``validate_density`` takes one matrix or a (k, n, n) stack, and a stack must
 give each member exactly the result of validating it alone, and of
 ``reference_validate`` below, the one-matrix-at-a-time check it replaces.
-``density_matrices``, ``x_states`` and ``partial_traces`` build states from
-one stack validated in one call, and the verify suites that sweep the
-X-state grid must validate every grid state and every reduced state while
-returning the results of the per-matrix loops they replace (``reference_*``
-below).
+``x_states`` and ``partial_traces`` return one read-only stack validated in
+one call, every other constructor validates its one matrix once, and the
+verify suites that sweep the X-state grid must validate every grid state and
+every reduced state while returning the results of the per-matrix loops they
+replace (``reference_*`` below).
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ from corr_radiance.qstate import (
     DensityCheck,
     DensityMatrix,
     XStateParams,
-    density_matrices,
     make_x_state,
     partial_trace,
     partial_traces,
@@ -157,17 +156,17 @@ def test_a_stack_gives_each_member_its_own_result(stack):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(stack=stacks())
-def test_density_matrices_accepts_exactly_the_stacks_that_pass(stack):
+def test_a_stack_is_accepted_exactly_when_every_member_passes(stack):
+    # _frozen_valid is the one validation step of every stack constructor
     check = validate_density(stack)
     if check.passed.all():
-        states = density_matrices(stack)
-        assert len(states) == len(stack)
-        for state, mat in zip(states, stack):
-            assert state.mat.tobytes() == mat.astype(complex).tobytes()
+        frozen = qstate._frozen_valid(stack.astype(complex))
+        assert frozen.tobytes() == stack.astype(complex).tobytes()
+        assert not frozen.flags.writeable
     else:
         first = int(np.flatnonzero(~check.passed)[0])
         with pytest.raises(ValueError, match=rf"invalid density matrix at index {first}: trace deviation"):
-            density_matrices(stack)
+            qstate._frozen_valid(stack.astype(complex))
 
 
 def test_validate_density_rejects_what_is_not_a_matrix_or_a_stack():
@@ -179,37 +178,30 @@ def test_validate_density_rejects_what_is_not_a_matrix_or_a_stack():
 def test_an_empty_stack_has_empty_checks():
     check = validate_density(np.zeros((0, 4, 4)))
     assert check.min_eigenvalue.shape == (0,) and check.passed.all()
-    assert density_matrices(np.zeros((0, 2, 2))) == ()
+    assert x_states([]).shape == (0, 4, 4)
+    assert partial_traces(np.zeros((0, 4, 4)), 1).shape == (0, 2, 2)
 
 
 # -- the stack constructor -----------------------------------------------------
 
 
 def good_stack():
-    states = x_states([XStateParams(0.1 * i, -0.05 * i, 0.02 * i) for i in range(6)])
-    return np.array([rho.mat for rho in states])
+    return np.array(x_states([XStateParams(0.1 * i, -0.05 * i, 0.02 * i) for i in range(6)]))
 
 
 @pytest.mark.parametrize("bad", [0, 3, 5])
 @pytest.mark.parametrize("defect", KINDS[1:])
-def test_density_matrices_names_the_bad_member(bad, defect):
+def test_partial_traces_names_the_bad_member(bad, defect):
     stack = good_stack()
     if defect == "trace":
         stack[bad] *= 1.1
     elif defect == "hermiticity":
-        stack[bad, 0, 1] += 0.01
+        # |ee><ge| survives the trace over atom 2 as |e><g| of atom 1
+        stack[bad, 0, 2] += 0.01
     else:
         stack[bad] = np.diag([0.6, 0.5, 0.0, -0.1])
     with pytest.raises(ValueError, match=rf"invalid density matrix at index {bad}: trace deviation .*, hermiticity deviation .*, minimum eigenvalue"):
-        density_matrices(stack)
-
-
-def test_density_matrices_names_the_first_of_several_bad_members():
-    stack = good_stack()
-    stack[4] *= 2.0
-    stack[2] *= 2.0
-    with pytest.raises(ValueError, match="at index 2:"):
-        density_matrices(stack)
+        partial_traces(stack, 1)
 
 
 def test_one_matrix_is_rejected_without_an_index():
@@ -217,43 +209,33 @@ def test_one_matrix_is_rejected_without_an_index():
         DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.1]))
 
 
-def test_density_matrices_rejects_bad_shapes():
-    with pytest.raises(ValueError, match="stack of square matrices"):
-        density_matrices(np.eye(4) / 4.0)
-    with pytest.raises(ValueError, match="2x2 or 4x4"):
-        density_matrices(np.array([np.eye(3) / 3.0]))
-
-
-def test_states_are_read_only_views_of_one_private_copy():
+def test_stacks_are_read_only_and_own_their_data():
     stack = good_stack()
-    states = density_matrices(stack)
-    base = states[0].mat.base
-    assert base.shape == stack.shape and not base.flags.writeable
-    for i, state in enumerate(states):
-        assert state.mat.base is base and state.mat.shape == (4, 4)
-        assert not state.mat.flags.writeable
+    built = x_states([XStateParams(0.1 * i, -0.05 * i, 0.02 * i) for i in range(6)])
+    reduced = partial_traces(stack, 2)
+    for out in (built, reduced):
+        assert not out.flags.writeable and out.base is None
         with pytest.raises(ValueError):
-            state.mat[0, 0] = 9.0
-        with pytest.raises(ValueError):
-            state.mat.setflags(write=True)
-        assert np.array_equal(state.mat, stack[i])
+            out[0, 0, 0] = 9.0
+    assert np.array_equal(built, stack)
+    before = reduced.copy()
     stack[:] = 0.0  # the caller's array stays the caller's
-    assert states[0].mat[0, 0] != 0.0
+    assert np.array_equal(reduced, before)
 
 
-def test_make_x_state_equals_its_view_of_the_stack():
+def test_make_x_state_equals_its_row_of_the_stack():
     params = verify.valid_x_params(step=0.25)
-    states = x_states(params)
-    assert all(state.mat.base is states[0].mat.base for state in states)
-    for p, state in zip(params, states):
+    stack = x_states(params)
+    assert stack.shape == (len(params), 4, 4) and not stack.flags.writeable
+    for p, row in zip(params, stack):
         single = make_x_state(p).mat
-        assert single.tobytes() == state.mat.tobytes()
+        assert single.tobytes() == row.tobytes()
         assert single.tobytes() == reference_x_state(p).tobytes()
         assert not single.flags.writeable
 
 
 def test_stacked_partial_traces_equal_one_state_at_a_time():
-    stack = verify._x_state_stack()
+    stack = verify._x_state_grid()
     rng = np.random.default_rng(5)
     z = rng.normal(size=(16, 4, 4)) + 1j * rng.normal(size=(16, 4, 4))
     mixed = z @ z.conj().swapaxes(1, 2)
@@ -288,14 +270,14 @@ def test_partial_traces_names_the_first_invalid_reduced_state(keep):
 
 def test_shared_grid_is_one_read_only_stack():
     grid = verify._x_state_grid()
-    stack = verify._x_state_stack()
-    assert stack.shape == (GRID_SIZE, 4, 4) and not stack.flags.writeable
-    for i, state in enumerate(grid):
-        assert state.mat.base is stack
-        assert np.shares_memory(state.mat, stack[i]) and np.array_equal(state.mat, stack[i])
+    assert type(grid) is np.ndarray and grid.dtype == complex
+    assert grid.shape == (GRID_SIZE, 4, 4) and not grid.flags.writeable
+    assert verify._x_state_grid() is grid
 
 
-def test_run_all_validates_every_grid_and_reduced_state(monkeypatch):
+def counting_validations(monkeypatch):
+    """Patch ``validate_density`` where qstate and verify look it up; the
+    returned list gets the number of matrices of each call."""
     sizes = []
 
     def counting(mat):
@@ -305,6 +287,26 @@ def test_run_all_validates_every_grid_and_reduced_state(monkeypatch):
 
     monkeypatch.setattr(qstate, "validate_density", counting)
     monkeypatch.setattr(verify, "validate_density", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["make_x_state", "partial_trace", "x_states", "partial_traces"])
+def test_each_constructor_validates_once(monkeypatch, name):
+    params = verify.valid_x_params(step=0.4)
+    rho, stack = make_x_state(params[0]), x_states(params)
+    build, size = {
+        "make_x_state": (lambda: make_x_state(params[0]), 1),
+        "partial_trace": (lambda: partial_trace(rho, 2), 1),
+        "x_states": (lambda: x_states(params), len(params)),
+        "partial_traces": (lambda: partial_traces(stack, 1), len(params)),
+    }[name]
+    sizes = counting_validations(monkeypatch)
+    build()
+    assert sizes == [size]
+
+
+def test_run_all_validates_every_grid_and_reduced_state(monkeypatch):
+    sizes = counting_validations(monkeypatch)
     verify._x_state_grid.cache_clear()
     try:
         results = verify.run_all()
@@ -338,9 +340,9 @@ def test_grid_suites_equal_the_per_matrix_loops(grid, suite, reference, tol_scal
 
 
 def test_grid_suites_fail_when_a_grid_state_is_invalid(monkeypatch):
-    stack = np.array(verify._x_state_stack())
+    stack = np.array(verify._x_state_grid())
     stack[7, 0, 0] += 1e-6
-    monkeypatch.setattr(verify, "_x_state_stack", lambda: stack)
+    monkeypatch.setattr(verify, "_x_state_grid", lambda: stack)
     result = verify.suite_x_state_validity()
     assert not result.passed and result.max_deviation == 1.0
     with pytest.raises(ValueError, match="at index 7:"):
