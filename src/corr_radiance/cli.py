@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -40,7 +41,11 @@ EXIT_IO = 3
 
 COMMANDS = ("fig2", "fig3", "fig4", "fig5", "transition", "verify")
 
-# largest table a command may write; larger grids fail before anything is built
+# largest table a command may write; larger grids fail before anything is built.
+# Output is streamed, so peak memory is the table's columns, about 49 bytes a
+# row: fig4 peaks at 79 MB at 1024 x 1024 and at 226 MB at 2048 x 2048 = 2**22
+# rows, as CSV or JSON (wait4 max RSS, 2-core x86-64 VM), and takes 3.6 s as
+# CSV (322 MB) and 7.8 s as JSON (775 MB) at the limit.
 MAX_TABLE_ROWS = 2**22
 
 @dataclass(frozen=True)
@@ -183,59 +188,114 @@ def _cells(col: np.ndarray | Labels, rows: slice, float_tokens, text_token, pref
     return np.array(list(map(prefix.__add__, tokens)), dtype=object)[index].tolist()
 
 
-# rows rendered at a time: the formatted cells of one block are alive at once
+# rows main renders and writes at a time: the formatted cells and the text
+# of one block are alive at once, whatever the size of the table
 _BLOCK_ROWS = 1 << 12
 
 
-def _row_blocks(table: Table, float_tokens, text_token, prefixes):
-    """For each block of rows, an iterator over the rows as tuples of cell tokens."""
-    for start in range(0, len(table.rows), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        yield zip(*(_cells(col, rows, float_tokens, text_token, prefix)
-                    for col, prefix in zip(table.data, prefixes)))
+def _block_cells(table: Table, rows: slice, float_tokens, text_token, prefixes):
+    """The rows in ``rows`` as tuples of cell tokens."""
+    return zip(*(_cells(col, rows, float_tokens, text_token, prefix)
+                 for col, prefix in zip(table.data, prefixes)))
 
 
-def render_csv(table: Table) -> str:
-    blocks = _row_blocks(table, _csv_floats, str, [""] * len(table.columns))
-    lines = ("\n".join(map(",".join, rows)) for rows in blocks)
-    return "\n".join([",".join(table.columns), *lines]) + "\n"
+def render_csv(table: Table, rows: slice = slice(None)) -> str:
+    """The CSV text of ``rows`` (default: all), with the header when they
+    start at row 0; the texts of consecutive slices join to the whole."""
+    start, _, _ = rows.indices(len(table.rows))
+    cells = _block_cells(table, rows, _csv_floats, str, [""] * len(table.columns))
+    lines = [",".join(table.columns)] if start == 0 else []
+    lines.extend(map(",".join, cells))
+    return "\n".join(lines) + "\n" if lines else ""
 
 
-def render_json(table: Table, cfg: RunConfig) -> str:
-    """The text of ``json.dumps(payload, indent=2)`` without building the rows."""
-    config = {
-        "command": cfg.command,
-        "kl": cfg.kl,
-        "grid_d": cfg.grid_d,
-        "grid_b": cfg.grid_b,
-        "sin_beta": cfg.sin_beta,
-        "format": cfg.format,
-    }
-    text = json.dumps({"config": config, "rows": []}, indent=2)
-    if not len(table.rows):
-        return text + "\n"
-    prefixes = [f"      {json.dumps(name)}: " for name in table.columns]
+def render_json(table: Table, cfg: RunConfig, rows: slice = slice(None)) -> str:
+    """The part of ``json.dumps(payload, indent=2)`` + "\\n" that holds ``rows``
+    (default: all), without building the rows: the opening goes with row 0,
+    the closing with the last row, and a table of no rows is one document."""
+    n = len(table.rows)
+    start, stop, _ = rows.indices(n)
+    parts = []
+    if start == 0:
+        config = {
+            "command": cfg.command,
+            "kl": cfg.kl,
+            "grid_d": cfg.grid_d,
+            "grid_b": cfg.grid_b,
+            "sin_beta": cfg.sin_beta,
+            "format": cfg.format,
+        }
+        text = json.dumps({"config": config, "rows": []}, indent=2)
+        if not n:
+            return text + "\n"
+        parts.append(text.removesuffix("[]\n}") + "[\n    {\n")
+    if start >= stop:
+        return "".join(parts)
     between = "\n    },\n    {\n"
-    parts = [text.removesuffix("[]\n}") + "[\n    {\n"]
-    for block in _row_blocks(table, _json_floats, json.dumps, prefixes):
-        if len(parts) > 1:
-            parts.append(between)
-        parts.append(between.join(map(",\n".join, block)))
-    parts.append("\n    }\n  ]\n}\n")
+    if start > 0:
+        parts.append(between)
+    prefixes = [f"      {json.dumps(name)}: " for name in table.columns]
+    cells = _block_cells(table, rows, _json_floats, json.dumps, prefixes)
+    parts.append(between.join(map(",\n".join, cells)))
+    if stop == n:
+        parts.append("\n    }\n  ]\n}\n")
     return "".join(parts)
 
 
-def render(table: Table, cfg: RunConfig) -> str:
+def render(table: Table, cfg: RunConfig, rows: slice = slice(None)) -> str:
     if cfg.format == "json":
-        return render_json(table, cfg)
-    return render_csv(table)
+        return render_json(table, cfg, rows)
+    return render_csv(table, rows)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+def _emit(text: str, stream) -> None:
+    # one call per block, by this name: the benchmark's tracer times it
+    stream.write(text)
+
+
+def _write_blocks(table: Table, cfg: RunConfig, stream) -> None:
+    """Render and write the table to ``stream`` one block of rows at a time."""
+    # a table of no rows is one block: its header or whole JSON document
+    for start in range(0, max(len(table.rows), 1), _BLOCK_ROWS):
+        _emit(render(table, cfg, slice(start, start + _BLOCK_ROWS)), stream)
+
+
+def _open_temporary(target: str) -> tuple[str, int]:
+    """A new file beside ``target``, opened for writing with the mode a plain
+    create gives (0o666 less the umask)."""
+    directory, name = os.path.split(target)
+    while True:
+        path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+        try:
+            return path, os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+
+
+def _write_file(table: Table, cfg: RunConfig, out: str) -> None:
+    """Write the whole table to the file ``out``, or leave it as it was: the
+    blocks go to a temporary file beside it that replaces it once all are
+    written.  A target that exists and is not a regular file (a FIFO, a
+    device) is written through."""
+    target = os.path.realpath(out)  # replace a symlink's file, not the link
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8", newline="") as stream:
+            _write_blocks(table, cfg, stream)
+        return
+    path, fd = _open_temporary(target)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as stream:
+            if mode is not None:  # a rewritten file keeps its permissions
+                os.fchmod(fd, stat.S_IMODE(mode))
+            _write_blocks(table, cfg, stream)
+        os.replace(path, target)
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +503,13 @@ def main(argv=None) -> int:
         return status
 
     try:
-        _emit(render(table, cfg), cfg.out)
+        if cfg.out is None:
+            _write_blocks(table, cfg, sys.stdout)
+        else:
+            _write_file(table, cfg, cfg.out)
     except OSError as exc:
-        print(f"corr-radiance: error: cannot write {cfg.out!r}: {exc}", file=sys.stderr)
+        where = "standard output" if cfg.out is None else repr(cfg.out)
+        print(f"corr-radiance: error: cannot write {where}: {exc}", file=sys.stderr)
         return EXIT_IO
     return status
 

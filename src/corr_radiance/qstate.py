@@ -160,7 +160,10 @@ def validate_density(mat: CMatrix) -> DensityCheck:
 
 def _frozen_valid(a: np.ndarray) -> np.ndarray:
     """Validate a complex matrix or (k, n, n) stack that no caller holds, in
-    one ``validate_density`` call, and make it read-only.
+    one ``validate_density`` call, and return a read-only view of it.
+
+    Only the view is handed out, and numpy refuses to make a view of a
+    read-only array writable again.
 
     A failure names the first failing member's index when ``a`` is a stack.
     """
@@ -182,7 +185,7 @@ def _frozen_valid(a: np.ndarray) -> np.ndarray:
             f"minimum eigenvalue {eig:.3g}"
         )
     a.setflags(write=False)
-    return a
+    return a.view()
 
 
 @dataclass(frozen=True, eq=False)

@@ -209,14 +209,21 @@ def test_one_matrix_is_rejected_without_an_index():
         DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.1]))
 
 
-def test_stacks_are_read_only_and_own_their_data():
+def test_stacks_cannot_be_made_writable_and_own_their_data():
     stack = good_stack()
     built = x_states([XStateParams(0.1 * i, -0.05 * i, 0.02 * i) for i in range(6)])
     reduced = partial_traces(stack, 2)
     for out in (built, reduced):
-        assert not out.flags.writeable and out.base is None
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out.setflags(write=True)
         with pytest.raises(ValueError):
             out[0, 0, 0] = 9.0
+    held = (verify._x_state_grid(), make_x_state(XStateParams(0.1, 0.2, 0.3)).mat,
+            partial_trace(DensityMatrix(stack[0]), 1).mat)
+    for out in held:
+        with pytest.raises(ValueError):
+            out.setflags(write=True)
     assert np.array_equal(built, stack)
     before = reduced.copy()
     stack[:] = 0.0  # the caller's array stays the caller's
