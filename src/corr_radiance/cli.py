@@ -242,7 +242,7 @@ def render_json(table: Table, cfg: RunConfig, rows: slice = slice(None)) -> str:
     return "".join(parts)
 
 
-def render(table: Table, cfg: RunConfig, rows: slice = slice(None)) -> str:
+def render(table: Table, cfg: RunConfig, rows: slice) -> str:
     if cfg.format == "json":
         return render_json(table, cfg, rows)
     return render_csv(table, rows)
