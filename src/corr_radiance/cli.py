@@ -304,8 +304,8 @@ def _write_file(table: Table, cfg: RunConfig, out: str) -> None:
 
 def _discord_axis(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     d = np.linspace(0.0, 1.0, cfg.grid_d)
-    # row by row, not discord_to_c_array: bench/test_bench.py asserts one
-    # traced discord_to_c call per axis row
+    # one scalar discord_to_c call per row, not discord_to_c_array: the
+    # benchmark pins the traced call count to the number of axis rows
     return d, np.array([discord_to_c(x) for x in d.tolist()])
 
 

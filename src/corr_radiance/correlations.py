@@ -7,9 +7,12 @@ for concurrence) so the two can be cross-checked against each other.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from math import log2
 
 import numpy as np
 
@@ -41,10 +44,6 @@ class DiscordResult:
     converged: bool = True
 
 
-def _xlog2(x: float) -> float:
-    return x * math.log2(x) if x > 0.0 else 0.0
-
-
 def discord_werner_closed(c: float) -> float:
     """Quantum discord of the Werner state with mixing parameter c, in bits.
 
@@ -54,7 +53,9 @@ def discord_werner_closed(c: float) -> float:
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"Werner parameter c = {c} lies outside [0, 1]")
-    d = 0.25 * _xlog2(1.0 - c) - 0.5 * _xlog2(1.0 + c) + 0.25 * _xlog2(1.0 + 3.0 * c)
+    # 1 + c and 1 + 3c are at least 1; only 1 - c reaches 0, where x log2 x -> 0
+    a, b, e = 1.0 - c, 1.0 + c, 1.0 + 3.0 * c
+    d = 0.25 * (a * log2(a) if a > 0.0 else 0.0) - 0.5 * (b * log2(b)) + 0.25 * (e * log2(e))
     return d if d > 0.0 else 0.0
 
 
@@ -225,11 +226,42 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
 
 
+# the top bisection levels of discord_to_c, whose midpoints every target shares
+_SHARED_LEVELS = 12
+_SHARED_WIDTH = 0.5 ** _SHARED_LEVELS
+
+
+@functools.cache
+def _shared_bisection_tree() -> array:
+    """``discord_werner_closed`` at the midpoints of the top ``_SHARED_LEVELS``
+    bisection levels of [0, 1], in heap order, built once per process.
+
+    Node n at level i (2^i <= n < 2^(i+1)) holds the midpoint
+    (2(n - 2^i) + 1) / 2^(i+1); its children are 2n and 2n + 1.  Index 0 is
+    unused.
+    """
+    tree = array("d", [0.0])
+    for level in range(_SHARED_LEVELS):
+        width = 0.5 ** (level + 1)
+        tree.extend(discord_werner_closed((2 * j + 1) * width) for j in range(2 ** level))
+    return tree
+
+
 def discord_to_c(d: float, tol: float = 1e-9) -> float:
     """Invert the Werner discord curve: the c in [0, 1] whose discord is d.
 
     Bisection on the monotone closed form; ``tol`` bounds both the bracket
     width in c and the residual in discord.
+
+    The first ``_SHARED_LEVELS`` steps are read from a shared table rather
+    than evaluated.  Over those steps every bracket end and midpoint is a
+    dyadic rational with at most ``_SHARED_LEVELS + 1`` significant bits, so
+    each is the same exact float for every target, and the table holds
+    ``discord_werner_closed`` at exactly those midpoints.  The stop test needs
+    the bracket width 2^-i at step i to be at most max(tol, 1e-15); while that
+    floor lies below 2^-(_SHARED_LEVELS - 1) it cannot fire in those steps,
+    so reading the table takes the same branches as evaluating.  A coarser
+    ``tol`` may stop earlier and skips the table.
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"discord target {d} lies outside the attainable range [0, 1]")
@@ -240,7 +272,16 @@ def discord_to_c(d: float, tol: float = 1e-9) -> float:
     lo, hi = 0.0, 1.0
     mid = 0.5
     floor = max(tol, 1e-15)
-    for _ in range(200):
+    steps = 200
+    if floor < 2.0 * _SHARED_WIDTH:
+        tree = _shared_bisection_tree()
+        n = 1
+        for _ in range(_SHARED_LEVELS):
+            n = 2 * n + 1 if tree[n] < d else 2 * n
+        lo = (n - 2 ** _SHARED_LEVELS) * _SHARED_WIDTH
+        hi = lo + _SHARED_WIDTH
+        steps -= _SHARED_LEVELS
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
         value = discord_werner_closed(mid)
         if abs(value - d) <= tol and hi - lo <= floor:

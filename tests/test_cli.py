@@ -330,3 +330,15 @@ def test_a_run_that_raises_shares_no_optima_afterwards(monkeypatch):
     calls.clear()
     verify.suite_discord_zero_at_classical()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("suite", verify.ALL_SUITES, ids=lambda s: s.__name__)
+def test_each_verify_suite_passes_within_its_tolerance(suite):
+    result = suite(tol_scale=1.0)
+    assert result.passed
+    assert result.max_deviation <= result.tolerance
+
+
+def test_the_verify_suites_have_eighteen_distinct_names():
+    assert len({suite.__name__ for suite in verify.ALL_SUITES}) == 18
+    assert len({result.name for result in verify.run_all()}) == 18
