@@ -14,17 +14,17 @@ import math
 import os
 import stat
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import verify as verify_mod
 from .correlations import discord_to_c
 from .emission import (
     MAX_KL,
     STATISTICS,
     DetectionGeometry,
+    Emission,
     find_statistics_transition,
     werner_emission,
     x_intensity,
@@ -42,10 +42,13 @@ EXIT_IO = 3
 COMMANDS = ("fig2", "fig3", "fig4", "fig5", "transition", "verify")
 
 # largest table a command may write; larger grids fail before anything is built.
-# Output is streamed, so peak memory is the table's columns, about 49 bytes a
-# row: fig4 peaks at 79 MB at 1024 x 1024 and at 226 MB at 2048 x 2048 = 2**22
-# rows, as CSV or JSON (wait4 max RSS, 2-core x86-64 VM), and takes 3.6 s as
-# CSV (322 MB) and 7.8 s as JSON (775 MB) at the limit.
+# fig2/fig4 hold only their two axes and make each block of rows from them, so
+# their peak does not grow with the grid and the limit bounds their run time:
+# at 2048 x 2048 = 2**22 rows fig4 peaks at 32 MB as CSV or JSON and takes
+# 5.5 s for 322 MB of CSV, 13 s for 775 MB of JSON.  fig3/fig5 hold their axis
+# and its columns whole, so the limit bounds their memory too: fig5 peaks at
+# 259 MB at 2**22 rows and takes 64 s (wait4 max RSS and wall time, 2-core
+# x86-64 VM, output to /dev/null).
 MAX_TABLE_ROWS = 2**22
 
 @dataclass(frozen=True)
@@ -104,53 +107,25 @@ class Labels:
     def __len__(self) -> int:
         return len(self.codes)
 
-
-class _Rows(Sequence):
-    """Row view of a column table; a row is a tuple of float, None and str."""
-
-    def __init__(self, data: tuple[np.ndarray | Labels, ...]):
-        self._data = data
-
-    def __len__(self) -> int:
-        return len(self._data[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        row = []
-        for col in self._data:
-            if isinstance(col, Labels):
-                row.append(col.names[col.codes[i]])
-            else:
-                value = float(col[i])
-                row.append(None if math.isnan(value) else value)
-        return tuple(row)
+    def __getitem__(self, rows: slice) -> "Labels":
+        return Labels(self.codes[rows], self.names)
 
 
 @dataclass(frozen=True)
 class Table:
-    """A table held by column: each column is Labels or a float64 array in
-    which NaN marks an empty cell (an undefined g2, a missing root)."""
+    """A table of ``len(rows)`` rows, made one block at a time: ``block(r)``
+    gives the columns of the rows in the range ``r``, each Labels or a float64
+    array in which NaN marks an empty cell (an undefined g2, a missing root)."""
 
     columns: tuple[str, ...]
-    data: tuple[np.ndarray | Labels, ...]
-
-    @property
-    def rows(self) -> _Rows:
-        return _Rows(self.data)
+    rows: range
+    block: Callable[[range], tuple[np.ndarray | Labels, ...]]
 
     @classmethod
-    def from_rows(cls, columns: tuple[str, ...], rows: list[tuple]) -> "Table":
-        """Columns from row tuples; a column whose first cell is a str is text."""
-        data = []
-        for cells in zip(*rows):
-            if isinstance(cells[0], str):
-                names = tuple(dict.fromkeys(cells))
-                code = {name: i for i, name in enumerate(names)}
-                data.append(Labels(np.array([code[cell] for cell in cells]), names))
-            else:
-                data.append(np.array([math.nan if c is None else c for c in cells], dtype=float))
-        return cls(columns, tuple(data))
+    def of(cls, columns: tuple[str, ...], data: tuple[np.ndarray | Labels, ...]) -> "Table":
+        """A table of columns held whole; a block is their slice."""
+        return cls(columns, range(len(data[0])),
+                   lambda r: tuple(col[r.start:r.stop:r.step] for col in data))
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +148,16 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return tokens
 
 
-def _cells(col: np.ndarray | Labels, rows: slice, float_tokens, text_token, prefix: str) -> list[str]:
-    """``prefix`` + token of each cell in ``rows``, each distinct value formatted once.
+def _cells(col: np.ndarray | Labels, float_tokens, text_token, prefix: str) -> list[str]:
+    """``prefix`` + token of each cell, each distinct value formatted once.
 
     Floats are told apart by bit pattern, so -0.0 and 0.0 stay distinct.
     """
     if isinstance(col, Labels):
         tokens = list(map(text_token, col.names))
-        index = col.codes[rows]
+        index = col.codes
     else:
-        bits, index = np.unique(np.asarray(col[rows], dtype=float).view(np.int64),
+        bits, index = np.unique(np.asarray(col, dtype=float).view(np.int64),
                                 return_inverse=True)
         tokens = float_tokens(bits.view(np.float64))
     return np.array(list(map(prefix.__add__, tokens)), dtype=object)[index].tolist()
@@ -193,18 +168,18 @@ def _cells(col: np.ndarray | Labels, rows: slice, float_tokens, text_token, pref
 _BLOCK_ROWS = 1 << 12
 
 
-def _block_cells(table: Table, rows: slice, float_tokens, text_token, prefixes):
-    """The rows in ``rows`` as tuples of cell tokens."""
-    return zip(*(_cells(col, rows, float_tokens, text_token, prefix)
-                 for col, prefix in zip(table.data, prefixes)))
+def _block_cells(table: Table, rows: range, float_tokens, text_token, prefixes):
+    """The rows in ``rows``, made by ``table.block``, as tuples of cell tokens."""
+    return zip(*(_cells(col, float_tokens, text_token, prefix)
+                 for col, prefix in zip(table.block(rows), prefixes)))
 
 
 def render_csv(table: Table, rows: slice = slice(None)) -> str:
     """The CSV text of ``rows`` (default: all), with the header when they
     start at row 0; the texts of consecutive slices join to the whole."""
-    start, _, _ = rows.indices(len(table.rows))
+    rows = table.rows[rows]
     cells = _block_cells(table, rows, _csv_floats, str, [""] * len(table.columns))
-    lines = [",".join(table.columns)] if start == 0 else []
+    lines = [",".join(table.columns)] if rows.start == 0 else []
     lines.extend(map(",".join, cells))
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -214,9 +189,9 @@ def render_json(table: Table, cfg: RunConfig, rows: slice = slice(None)) -> str:
     (default: all), without building the rows: the opening goes with row 0,
     the closing with the last row, and a table of no rows is one document."""
     n = len(table.rows)
-    start, stop, _ = rows.indices(n)
+    rows = table.rows[rows]
     parts = []
-    if start == 0:
+    if rows.start == 0:
         config = {
             "command": cfg.command,
             "kl": cfg.kl,
@@ -229,15 +204,15 @@ def render_json(table: Table, cfg: RunConfig, rows: slice = slice(None)) -> str:
         if not n:
             return text + "\n"
         parts.append(text.removesuffix("[]\n}") + "[\n    {\n")
-    if start >= stop:
+    if not rows:
         return "".join(parts)
     between = "\n    },\n    {\n"
-    if start > 0:
+    if rows.start > 0:
         parts.append(between)
     prefixes = [f"      {json.dumps(name)}: " for name in table.columns]
     cells = _block_cells(table, rows, _json_floats, json.dumps, prefixes)
     parts.append(between.join(map(",\n".join, cells)))
-    if stop == n:
+    if rows.stop == n:
         parts.append("\n    }\n  ]\n}\n")
     return "".join(parts)
 
@@ -306,7 +281,7 @@ def _discord_axis(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     d = np.linspace(0.0, 1.0, cfg.grid_d)
     # one scalar discord_to_c call per row, not discord_to_c_array: the
     # benchmark pins the traced call count to the number of axis rows
-    return d, np.array([discord_to_c(x) for x in d.tolist()])
+    return d, np.fromiter(map(discord_to_c, d.tolist()), float, d.size)
 
 
 def _cos_phase(kl: float, sin_beta: float) -> float:
@@ -314,26 +289,35 @@ def _cos_phase(kl: float, sin_beta: float) -> float:
     return math.cos(DetectionGeometry.from_sin_beta(kl, sin_beta).phase)
 
 
-def _plane(cfg: RunConfig) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """The (D, c, sin beta) columns of the grid, D-major, with c and cos phase
-    shaped to broadcast to (grid_d, grid_b)."""
+def _plane(cfg: RunConfig, columns: tuple[str, ...], kernel) -> Table:
+    """The table over the (D, sin beta) grid, D-major, with the columns D, c,
+    sin beta and then ``columns``.  Only the two axes are held: a block
+    gathers the axis values of its rows and runs ``kernel(c, cos_phase)``,
+    elementwise, on those rows alone."""
     d, c = _discord_axis(cfg)
     sin_betas = np.linspace(-1.0, 1.0, cfg.grid_b)
     cos_phase = np.array([_cos_phase(cfg.kl, s) for s in sin_betas.tolist()])
-    n = cfg.grid_b
-    columns = (np.repeat(d, n), np.repeat(c, n), np.tile(sin_betas, cfg.grid_d))
-    return columns, c[:, None], cos_phase[None, :]
+
+    def block(rows: range) -> tuple[np.ndarray | Labels, ...]:
+        i, j = np.divmod(np.arange(rows.start, rows.stop, rows.step), cfg.grid_b)
+        return (d[i], c[i], sin_betas[j], *kernel(c[i], cos_phase[j]))
+
+    return Table(("D", "c", "sin_beta", *columns), range(cfg.grid_d * cfg.grid_b), block)
 
 
 _STATISTICS_NAMES = tuple(s.value for s in STATISTICS)
 _FLAG_NAMES = ("", "undefined")
 
 
+def _g2_cells(e: Emission) -> tuple[np.ndarray, Labels, Labels]:
+    """The g2, statistics and flag columns of fig4 and fig5."""
+    return (e.g2, Labels(e.statistics, _STATISTICS_NAMES),
+            Labels(e.undefined.view(np.int8), _FLAG_NAMES))
+
+
 def cmd_fig2(cfg: RunConfig) -> Table:
     """Intensity over the (discord, sin beta) plane for Werner states."""
-    columns, c, cos_phase = _plane(cfg)
-    intensity = x_intensity(-c, cos_phase)
-    return Table(("D", "c", "sin_beta", "I"), (*columns, intensity.ravel()))
+    return _plane(cfg, ("I",), lambda c, cos_phase: (x_intensity(-c, cos_phase),))
 
 
 def cmd_fig3(cfg: RunConfig) -> Table:
@@ -341,22 +325,13 @@ def cmd_fig3(cfg: RunConfig) -> Table:
     d, c = _discord_axis(cfg)
     forward = x_intensity(-c, _cos_phase(cfg.kl, 1.0))
     backward = x_intensity(-c, _cos_phase(cfg.kl, 0.0))
-    return Table(("D", "c", "I_sinb1", "I_sinb0"), (d, c, forward, backward))
+    return Table.of(("D", "c", "I_sinb1", "I_sinb0"), (d, c, forward, backward))
 
 
 def cmd_fig4(cfg: RunConfig) -> Table:
     """g2 over the (discord, sin beta) plane, flagging undefined points."""
-    columns, c, cos_phase = _plane(cfg)
-    e = werner_emission(c, cos_phase)
-    return Table(
-        ("D", "c", "sin_beta", "g2", "statistics", "flag"),
-        (
-            *columns,
-            e.g2.ravel(),
-            Labels(e.statistics.ravel(), _STATISTICS_NAMES),
-            Labels(e.undefined.ravel().view(np.int8), _FLAG_NAMES),
-        ),
-    )
+    return _plane(cfg, ("g2", "statistics", "flag"),
+                  lambda c, cos_phase: _g2_cells(werner_emission(c, cos_phase)))
 
 
 def _crossing_marks(statistics: np.ndarray, undefined: np.ndarray) -> np.ndarray:
@@ -382,17 +357,9 @@ def cmd_fig5(cfg: RunConfig) -> Table:
     (see ``_crossing_marks``)."""
     d, c = _discord_axis(cfg)
     e = werner_emission(c, _cos_phase(cfg.kl, cfg.sin_beta))
-    return Table(
-        ("D", "c", "g2", "statistics", "flag", "transition"),
-        (
-            d,
-            c,
-            e.g2,
-            Labels(e.statistics, _STATISTICS_NAMES),
-            Labels(e.undefined.view(np.int8), _FLAG_NAMES),
-            Labels(_crossing_marks(e.statistics, e.undefined), ("", "crossing")),
-        ),
-    )
+    crossings = Labels(_crossing_marks(e.statistics, e.undefined), ("", "crossing"))
+    return Table.of(("D", "c", "g2", "statistics", "flag", "transition"),
+                    (d, c, *_g2_cells(e), crossings))
 
 
 def cmd_transition(cfg: RunConfig) -> tuple[Table, str]:
@@ -400,31 +367,40 @@ def cmd_transition(cfg: RunConfig) -> tuple[Table, str]:
     geom = DetectionGeometry.from_sin_beta(cfg.kl, cfg.sin_beta)
     point = find_statistics_transition(geom)
     if point is None:
-        row = (cfg.kl, cfg.sin_beta, None, None, "none")
+        c_star, d_t, status = math.nan, math.nan, "none"
         summary = f"transition: none (kl={cfg.kl:.12g}, sin_beta={cfg.sin_beta:.12g})"
     else:
-        row = (cfg.kl, cfg.sin_beta, point.c_star, point.discord, "ok")
+        c_star, d_t, status = point.c_star, point.discord, "ok"
         summary = (
             f"transition: c_star={point.c_star:.12g}, D_t={point.discord:.12g} "
             f"(kl={cfg.kl:.12g}, sin_beta={cfg.sin_beta:.12g})"
         )
-    return Table.from_rows(("kl", "sin_beta", "c_star", "D_t", "status"), [row]), summary
+    values = np.array([[cfg.kl], [cfg.sin_beta], [c_star], [d_t]])
+    columns = ("kl", "sin_beta", "c_star", "D_t", "status")
+    return Table.of(columns, (*values, Labels(np.zeros(1, np.int8), (status,)))), summary
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[Table, list[str], bool]:
     """Run every cross-validation suite and tabulate the margins."""
-    results = verify_mod.run_all(tol_scale=cfg.tol_scale)
+    # imported here, not at the top: only this command needs the suites
+    from . import verify
+
+    results = verify.run_all(tol_scale=cfg.tol_scale)
     lines = []
-    rows = []
     for r in results:
         verdict = "PASS" if r.passed else "FAIL"
         lines.append(
             f"{verdict} {r.name}: max deviation {r.max_deviation:.3g}"
             f" (tolerance {r.tolerance:.3g})"
         )
-        rows.append((r.name, r.max_deviation, r.tolerance, verdict))
-    table = Table.from_rows(("suite", "max_deviation", "tolerance", "status"), rows)
-    return table, lines, all(r.passed for r in results)
+    passed = np.array([r.passed for r in results], dtype=np.int8)
+    table = Table.of(("suite", "max_deviation", "tolerance", "status"), (
+        Labels(np.arange(len(results)), tuple(r.name for r in results)),
+        np.array([r.max_deviation for r in results]),
+        np.array([r.tolerance for r in results]),
+        Labels(passed, ("FAIL", "PASS")),
+    ))
+    return table, lines, bool(passed.all())
 
 
 def _print_transition(cfg: RunConfig, summary: str) -> int:

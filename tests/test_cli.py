@@ -28,6 +28,7 @@ from corr_radiance.cli import (
     render_csv,
     render_json,
 )
+from cli_rows import rows_of
 
 REF_D_T = 0.8668518157244345
 
@@ -44,13 +45,14 @@ class TestTables:
 
     def test_fig2_zero_discord_rows_are_flat(self):
         table = cmd_fig2(cfg("fig2", grid_d=3, grid_b=9))
-        for row in table.rows[:9]:
+        for row in rows_of(table)[:9]:
             assert row[0] == 0.0
             assert row[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_fig3_endpoint_rows(self):
         table = cmd_fig3(cfg("fig3", grid_d=11))
-        first, last = table.rows[0], table.rows[-1]
+        rows = rows_of(table)
+        first, last = rows[0], rows[-1]
         assert (first[0], last[0]) == (0.0, 1.0)
         assert first[2] == pytest.approx(1.0, abs=1e-9)
         assert first[3] == pytest.approx(1.0, abs=1e-9)
@@ -61,25 +63,27 @@ class TestTables:
         # (D, sin_beta) = (1, 0) is the 0/0 point of g2 at kl = pi
         table = cmd_fig4(cfg("fig4", grid_d=5, grid_b=5))
         assert len(table.rows) == 25
-        undefined = [r for r in table.rows if r[5] == "undefined"]
+        rows = rows_of(table)
+        undefined = [r for r in rows if r[5] == "undefined"]
         assert len(undefined) == 1
         row = undefined[0]
         assert (row[0], row[2]) == (1.0, 0.0)
         assert row[3] is None
         assert row[4] == "undefined"
-        for r in table.rows:
+        for r in rows:
             if r[5] == "":
                 assert isinstance(r[3], float)
 
     def test_fig5_crossing_marker(self):
         table = cmd_fig5(cfg("fig5", grid_d=101, sin_beta=0.2))
-        marked = [r for r in table.rows if r[5] == "crossing"]
+        rows = rows_of(table)
+        marked = [r for r in rows if r[5] == "crossing"]
         assert len(marked) == 1
         # the marker sits within one grid step of the true transition
         assert abs(marked[0][0] - REF_D_T) <= 1.0 / 100.0
-        assert table.rows[0][2] == pytest.approx(1.0, abs=1e-12)
-        assert table.rows[0][3] == "poissonian"
-        assert table.rows[-1][3] == "sub_poissonian"
+        assert rows[0][2] == pytest.approx(1.0, abs=1e-12)
+        assert rows[0][3] == "poissonian"
+        assert rows[-1][3] == "sub_poissonian"
 
     @pytest.mark.parametrize("g2", [1.0 + 4504 * 2.0**-52, 1.0 - 1e-12])
     def test_fig5_crossing_follows_the_statistics_band(self, g2):
@@ -92,15 +96,16 @@ class TestTables:
 
     def test_fig5_without_crossing_has_no_marker(self):
         table = cmd_fig5(cfg("fig5", grid_d=41, sin_beta=1.0))
-        assert all(r[5] == "" for r in table.rows)
+        assert all(r[5] == "" for r in rows_of(table))
 
     def test_transition_rows(self):
         table, summary = cmd_transition(cfg("transition", sin_beta=0.2))
-        assert table.rows[0][4] == "ok"
+        assert rows_of(table)[0][4] == "ok"
         assert "c_star=" in summary
         table, summary = cmd_transition(cfg("transition", sin_beta=1.0))
-        assert table.rows[0][2] is None
-        assert table.rows[0][4] == "none"
+        (row,) = rows_of(table)
+        assert row[2] is None
+        assert row[4] == "none"
         assert "none" in summary
 
 
@@ -130,7 +135,7 @@ class TestRendering:
 
     def test_negative_zero_keeps_its_sign(self):
         # cells are memoised by bit pattern, and -0.0 == 0.0 as floats
-        table = Table(("x",), (np.array([0.0, -0.0, 0.0]),))
+        table = Table.of(("x",), (np.array([0.0, -0.0, 0.0]),))
         assert render_csv(table) == "x\n0\n-0\n0\n"
         payload = json.loads(render_json(table, cfg("fig3", format="json")))
         assert [math.copysign(1.0, r["x"]) for r in payload["rows"]] == [1.0, -1.0, 1.0]

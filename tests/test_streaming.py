@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +30,13 @@ from corr_radiance.cli import (
     Labels,
     RunConfig,
     Table,
+    cmd_fig4,
     main,
     render_csv,
     render_json,
 )
+from corr_radiance.correlations import discord_to_c
+from cli_rows import rows_of
 
 SIZES = (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1)
 NAMES = ("super", "", "sub")
@@ -47,7 +51,7 @@ def table_of(n: int) -> Table:
     y = np.round(np.linspace(0.0, 1.0, n), 2)
     y[2::13] = math.inf
     y[3::17] = -math.inf
-    return Table(("x", "y", "label"), (x, y, Labels(np.arange(n) % 3, NAMES)))
+    return Table.of(("x", "y", "label"), (x, y, Labels(np.arange(n) % 3, NAMES)))
 
 
 def payload_of(table: Table, cfg: RunConfig) -> dict:
@@ -65,7 +69,7 @@ def payload_of(table: Table, cfg: RunConfig) -> dict:
         "sin_beta": cfg.sin_beta,
         "format": cfg.format,
     }
-    rows = [{name: cell(v) for name, v in zip(table.columns, row)} for row in table.rows]
+    rows = [{name: cell(v) for name, v in zip(table.columns, row)} for row in rows_of(table)]
     return {"config": config, "rows": rows}
 
 
@@ -73,7 +77,7 @@ def csv_of(table: Table) -> str:
     def cell(value):
         return "" if value is None else value if isinstance(value, str) else f"{value:.12g}"
 
-    lines = [",".join(table.columns), *(",".join(map(cell, row)) for row in table.rows)]
+    lines = [",".join(table.columns), *(",".join(map(cell, row)) for row in rows_of(table))]
     return "\n".join(lines) + "\n"
 
 
@@ -164,6 +168,27 @@ def test_a_failed_write_to_stdout_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", Closed())
     assert main(["fig3", "--grid-d", "3"]) == EXIT_IO
     assert "cannot write standard output: [Errno 32] Broken pipe" in capsys.readouterr().err
+
+
+def test_the_largest_plane_table_is_built_and_rendered_block_by_block():
+    # a plane table holds only its two axes, and a block is made for its own
+    # rows: building the 2**22-row fig4 table peaked at 196 MiB when it held
+    # its columns whole; here at 0.18 MiB, and rendering a block at 1.6 MiB
+    # (CSV) and 2.2 MiB (JSON), its text included (tracemalloc, CPython 3.11,
+    # numpy 2.4)
+    discord_to_c(0.5)  # the bisection's shared table is built once per process
+    cfg = RunConfig("fig4", grid_d=2048, grid_b=2048)
+    tracemalloc.start()
+    try:
+        table = cmd_fig4(cfg)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        middle = slice(len(table.rows) // 2 + 1000, len(table.rows) // 2 + 1000 + _BLOCK_ROWS)
+        for render in (lambda: render_csv(table, middle), lambda: render_json(table, cfg, middle)):
+            tracemalloc.reset_peak()
+            assert render().count("\n") >= _BLOCK_ROWS
+            assert tracemalloc.get_traced_memory()[1] < 4 << 20
+    finally:
+        tracemalloc.stop()
 
 
 # Linux carries a process's peak RSS across exec, so a child started from this
