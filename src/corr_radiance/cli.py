@@ -251,16 +251,17 @@ def _write_file(table: Table, cfg: RunConfig, out: str) -> None:
     """Write the whole table to the file ``out``, or leave it as it was: the
     blocks go to a temporary file beside it that replaces it once all are
     written.  A target that exists and is not a regular file (a FIFO, a
-    device) is written through."""
-    target = os.path.realpath(out)  # replace a symlink's file, not the link
+    device, ``/dev/stdout`` on a pipe) is written through the path as given:
+    resolved, a ``/dev/fd/N`` link may name no file."""
     try:
-        mode = os.stat(target).st_mode
+        mode = os.stat(out).st_mode  # follows a symlink
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "w", encoding="utf-8", newline="") as stream:
+        with open(out, "w", encoding="utf-8", newline="") as stream:
             _write_blocks(table, cfg, stream)
         return
+    target = os.path.realpath(out)  # replace a symlink's file, not the link
     path, fd = _open_temporary(target)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as stream:

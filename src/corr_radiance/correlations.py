@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from math import log2
@@ -112,26 +113,27 @@ def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.nd
 
 # measurement directions per _conditional_entropy call in the grid scan
 _SCAN_CHUNK = 512
-# the pattern search stops once a sweep gains less than DISCORD_TOL, and
+# discord_numeric scans a DISCORD_GRID x DISCORD_GRID grid of Bloch angles;
+# its pattern search stops once a sweep gains less than DISCORD_TOL, and
 # reports unconverged after DISCORD_MAX_DEPTH sweeps
+DISCORD_GRID = 64
 DISCORD_TOL = 1e-8
 DISCORD_MAX_DEPTH = 50
+# discord_to_c stops once the bracket in c and the residual in discord are
+# both within DISCORD_TO_C_TOL
+DISCORD_TO_C_TOL = 1e-9
 
 
-def discord_numeric(
-    rho: DensityMatrix,
-    measured: int = 2,
-    grid: int = 64,
-) -> DiscordResult:
+def discord_numeric(rho: DensityMatrix, measured: int = 2) -> DiscordResult:
     """Discord by direct minimization over projective measurements.
 
     Computes S(rho_measured) - S(rho) + min over rank-one projective
     measurements on atom ``measured`` of the average conditional entropy of
     the other atom.  The minimization runs an exhaustive grid x grid scan
-    over the measurement Bloch angles (theta, phi) followed by pattern
-    search with step halving; it stops once a sweep improves the objective
-    by less than ``DISCORD_TOL``.  Grid ties resolve to the lowest (theta, phi)
-    in lexicographic order.
+    (grid = ``DISCORD_GRID``) over the measurement Bloch angles (theta, phi)
+    followed by pattern search with step halving; it stops once a sweep
+    improves the objective by less than ``DISCORD_TOL``.  Grid ties resolve
+    to the lowest (theta, phi) in lexicographic order.
 
     Returns
     -------
@@ -141,16 +143,14 @@ def discord_numeric(
     """
     if measured not in (1, 2):
         raise ValueError(f"measured atom must be 1 or 2, got {measured}")
-    if grid < 2:
-        raise ValueError(f"grid resolution must be at least 2, got {grid}")
     if rho.dim != 4:
         raise ValueError("discord needs a two-atom (4x4) state")
     rho4 = rho.mat
     s_total = von_neumann_entropy(rho)
     s_measured = von_neumann_entropy(partial_trace(rho, keep=measured))
 
-    theta_axis = np.linspace(0.0, math.pi, grid)
-    phi_axis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    theta_axis = np.linspace(0.0, math.pi, DISCORD_GRID)
+    phi_axis = np.linspace(0.0, 2.0 * math.pi, DISCORD_GRID, endpoint=False)
     # theta-major layout so the first minimum is the lexicographically lowest
     tt, pp = np.meshgrid(theta_axis, phi_axis, indexing="ij")
     thetas, phis = tt.ravel(), pp.ravel()
@@ -163,10 +163,10 @@ def discord_numeric(
     best_f = float(values[best])
     best_t = float(thetas[best])
     best_p = float(phis[best])
-    evaluations = grid * grid
+    evaluations = DISCORD_GRID * DISCORD_GRID
 
-    step_t = math.pi / grid
-    step_p = 2.0 * math.pi / grid
+    step_t = math.pi / DISCORD_GRID
+    step_p = 2.0 * math.pi / DISCORD_GRID
     converged = False
     for _ in range(DISCORD_MAX_DEPTH):
         before = best_f
@@ -232,36 +232,29 @@ _SHARED_WIDTH = 0.5 ** _SHARED_LEVELS
 
 
 @functools.cache
-def _shared_bisection_tree() -> array:
-    """``discord_werner_closed`` at the midpoints of the top ``_SHARED_LEVELS``
-    bisection levels of [0, 1], in heap order, built once per process.
-
-    Node n at level i (2^i <= n < 2^(i+1)) holds the midpoint
-    (2(n - 2^i) + 1) / 2^(i+1); its children are 2n and 2n + 1.  Index 0 is
-    unused.
-    """
-    tree = array("d", [0.0])
-    for level in range(_SHARED_LEVELS):
-        width = 0.5 ** (level + 1)
-        tree.extend(discord_werner_closed((2 * j + 1) * width) for j in range(2 ** level))
-    return tree
+def _shared_midpoint_values() -> array:
+    """``discord_werner_closed`` at k 2^-``_SHARED_LEVELS`` for
+    k = 1 ... 2^``_SHARED_LEVELS`` - 1, in ascending order, built once per
+    process.  The values strictly increase."""
+    return array(
+        "d",
+        (discord_werner_closed(k * _SHARED_WIDTH) for k in range(1, 2 ** _SHARED_LEVELS)),
+    )
 
 
-def discord_to_c(d: float, tol: float = 1e-9) -> float:
+def discord_to_c(d: float) -> float:
     """Invert the Werner discord curve: the c in [0, 1] whose discord is d.
 
-    Bisection on the monotone closed form; ``tol`` bounds both the bracket
-    width in c and the residual in discord.
+    Bisection on the monotone closed form; ``DISCORD_TO_C_TOL`` bounds both
+    the bracket width in c and the residual in discord.
 
     The first ``_SHARED_LEVELS`` steps are read from a shared table rather
     than evaluated.  Over those steps every bracket end and midpoint is a
-    dyadic rational with at most ``_SHARED_LEVELS + 1`` significant bits, so
-    each is the same exact float for every target, and the table holds
-    ``discord_werner_closed`` at exactly those midpoints.  The stop test needs
-    the bracket width 2^-i at step i to be at most max(tol, 1e-15); while that
-    floor lies below 2^-(_SHARED_LEVELS - 1) it cannot fire in those steps,
-    so reading the table takes the same branches as evaluating.  A coarser
-    ``tol`` may stop earlier and skips the table.
+    multiple of 2^-``_SHARED_LEVELS``, the same exact float for every target,
+    and the bracket is still wider than the tolerance, so the stop test cannot
+    fire.  The table holds ``discord_werner_closed`` at those midpoints in
+    ascending order; the steps are a binary search on it, which ``bisect_left``
+    runs, with a tie going left as ``value < d`` does.
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"discord target {d} lies outside the attainable range [0, 1]")
@@ -269,22 +262,12 @@ def discord_to_c(d: float, tol: float = 1e-9) -> float:
         return 0.0
     if d == 1.0:
         return 1.0
-    lo, hi = 0.0, 1.0
-    mid = 0.5
-    floor = max(tol, 1e-15)
-    steps = 200
-    if floor < 2.0 * _SHARED_WIDTH:
-        tree = _shared_bisection_tree()
-        n = 1
-        for _ in range(_SHARED_LEVELS):
-            n = 2 * n + 1 if tree[n] < d else 2 * n
-        lo = (n - 2 ** _SHARED_LEVELS) * _SHARED_WIDTH
-        hi = lo + _SHARED_WIDTH
-        steps -= _SHARED_LEVELS
-    for _ in range(steps):
+    lo = bisect_left(_shared_midpoint_values(), d) * _SHARED_WIDTH
+    hi = lo + _SHARED_WIDTH
+    for _ in range(200 - _SHARED_LEVELS):
         mid = 0.5 * (lo + hi)
         value = discord_werner_closed(mid)
-        if abs(value - d) <= tol and hi - lo <= floor:
+        if abs(value - d) <= DISCORD_TO_C_TOL and hi - lo <= DISCORD_TO_C_TOL:
             break
         if value < d:
             lo = mid
@@ -303,16 +286,19 @@ def _xlog2_array(x: np.ndarray) -> np.ndarray:
     return np.where(positive, x * np.log2(np.where(positive, x, 1.0)), 0.0)
 
 
-def discord_to_c_array(d: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def discord_to_c_array(d: np.ndarray) -> np.ndarray:
     """``discord_to_c`` over a 1-D array of targets, bit for bit.
 
-    Runs the scalar bisection step for step on every target at once, with the
+    Runs the plain bisection step for step on every target at once, with the
     same arithmetic order and ``np.log2`` in place of ``math.log2``.  The two
     logarithms may differ in the last ulp, which can only matter where a
-    residual |D(mid) - d| comes within ``_RESIDUAL_GUARD`` of 0 or of ``tol``;
-    such targets are solved again by the scalar ``discord_to_c``.
+    residual |D(mid) - d| comes within ``_RESIDUAL_GUARD`` of 0 or of
+    ``DISCORD_TO_C_TOL``; such targets are solved again by the scalar
+    ``discord_to_c``.
     """
     d = np.asarray(d, dtype=float)
+    if d.ndim != 1:
+        raise ValueError(f"discord targets must form a 1-D array, got shape {d.shape}")
     outside = ~((d >= 0.0) & (d <= 1.0))
     if outside.any():
         raise ValueError(
@@ -325,7 +311,7 @@ def discord_to_c_array(d: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     lo = np.zeros(index.size)
     hi = np.ones(index.size)
     mid = np.full(index.size, 0.5)
-    floor = max(tol, 1e-15)
+    tol = DISCORD_TO_C_TOL
     for _ in range(200):
         if index.size == 0:
             break
@@ -337,7 +323,7 @@ def discord_to_c_array(d: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         )
         residual = np.abs(value - target)
         recheck[index] |= (residual < _RESIDUAL_GUARD) | (np.abs(residual - tol) < _RESIDUAL_GUARD)
-        done = (residual <= tol) & (hi - lo <= floor)
+        done = (residual <= tol) & (hi - lo <= tol)
         c[index[done]] = mid[done]
         below = value < target
         lo = np.where(below, mid, lo)
@@ -346,7 +332,7 @@ def discord_to_c_array(d: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         index, target, lo, hi, mid = index[going], target[going], lo[going], hi[going], mid[going]
     c[index] = mid
     for i in np.flatnonzero(recheck):
-        c[i] = discord_to_c(float(d[i]), tol)
+        c[i] = discord_to_c(float(d[i]))
     return c
 
 

@@ -87,8 +87,6 @@ class TestDiscordNumeric:
         rho = make_werner(0.5)
         with pytest.raises(ValueError):
             discord_numeric(rho, measured=3)
-        with pytest.raises(ValueError):
-            discord_numeric(rho, grid=1)
 
 
 class TestConcurrence:

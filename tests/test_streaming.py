@@ -267,6 +267,14 @@ def test_a_fifo_is_written_through(tmp_path):
     assert fifo.is_fifo()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout here")
+def test_dev_stdout_on_a_pipe_is_written_through():
+    # resolved, /dev/stdout on a pipe names pipe:[N] under /proc, which is no file
+    through = run_cli(["fig3", "--grid-d", "5", "--out", "/dev/stdout"])
+    assert through.returncode == EXIT_OK, through.stderr
+    assert through.stdout == run_cli(["fig3", "--grid-d", "5"]).stdout
+
+
 def test_a_new_file_gets_the_mode_of_a_plain_create(tmp_path):
     target = tmp_path / "table.csv"
     previous = os.umask(0o027)

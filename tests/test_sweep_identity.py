@@ -9,6 +9,7 @@ must write exactly the same bytes.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,3 +275,9 @@ def test_array_inversion_rejects_targets_outside_the_range():
     for bad in (-1e-3, 1.0 + 1e-12, math.nan):
         with pytest.raises(ValueError):
             discord_to_c_array(np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2), (1, 3)])
+def test_array_inversion_rejects_targets_that_are_not_1d(shape):
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+        discord_to_c_array(np.full(shape, 0.5))
