@@ -8,6 +8,7 @@ bracket with ``bisect`` on an ascending table shared by every target, and
 bit of a result.
 """
 
+import inspect
 import math
 import random
 
@@ -15,7 +16,12 @@ import numpy as np
 import pytest
 
 from corr_radiance import correlations
-from corr_radiance.correlations import discord_to_c, discord_werner_closed
+from corr_radiance.correlations import (
+    discord_numeric,
+    discord_to_c,
+    discord_to_c_array,
+    discord_werner_closed,
+)
 
 
 def _reference_xlog2(x: float) -> float:
@@ -105,9 +111,41 @@ def test_targets_that_tie_with_a_shared_midpoint_match_the_reference():
     assert_same_bits([reference_discord_werner_closed(k / 4096) for k in range(1, 4096, 2)])
 
 
-def test_mixed_targets_match_the_reference():
+def test_targets_that_tie_with_an_upper_level_midpoint_match_the_reference():
+    # the closed form at every even multiple of 2^-12: each equals a table
+    # entry that the bisection meets above its last shared level
+    assert_same_bits([reference_discord_werner_closed(k / 4096) for k in range(2, 4096, 2)])
+
+
+def mixed_targets() -> list[float]:
     rng = random.Random(17)
-    assert_same_bits([rng.random() for _ in range(3000)] + tiny_targets(500) + EDGE_TARGETS)
+    return [rng.random() for _ in range(3000)] + tiny_targets(500) + EDGE_TARGETS
+
+
+def test_mixed_targets_match_the_reference():
+    assert_same_bits(mixed_targets())
+
+
+def test_array_inversion_of_mixed_targets_matches_the_reference():
+    targets = mixed_targets()
+    got = discord_to_c_array(np.array(targets)).tolist()
+    expected = [reference_discord_to_c(d) for d in targets]
+    mismatched = [(d, g, e) for d, g, e in zip(targets, got, expected) if g.hex() != e.hex()]
+    assert not mismatched, f"{len(mismatched)} targets differ, first {mismatched[0]}"
+
+
+@pytest.mark.parametrize(
+    "solver, parameters",
+    [
+        (discord_to_c, ["d"]),
+        (discord_to_c_array, ["d"]),
+        (discord_numeric, ["rho", "measured"]),
+    ],
+    ids=["discord_to_c", "discord_to_c_array", "discord_numeric"],
+)
+def test_the_solvers_take_no_settings(solver, parameters):
+    # the tolerance and the angle grid are module constants, not arguments
+    assert list(inspect.signature(solver).parameters) == parameters
 
 
 def test_out_of_range_targets_are_still_rejected():
