@@ -42,13 +42,12 @@ EXIT_IO = 3
 COMMANDS = ("fig2", "fig3", "fig4", "fig5", "transition", "verify")
 
 # largest table a command may write; larger grids fail before anything is built.
-# fig2/fig4 hold only their two axes and make each block of rows from them, so
-# their peak does not grow with the grid and the limit bounds their run time:
-# at 2048 x 2048 = 2**22 rows fig4 peaks at 32 MB as CSV or JSON and takes
-# 5.5 s for 322 MB of CSV, 13 s for 775 MB of JSON.  fig3/fig5 hold their axis
-# and its columns whole, so the limit bounds their memory too: fig5 peaks at
-# 259 MB at 2**22 rows and takes 64 s (wait4 max RSS and wall time, 2-core
-# x86-64 VM, output to /dev/null).
+# Every figure holds only its axes and makes each block of rows from them, so
+# the limit bounds run time, and memory only through the axes (16 bytes per
+# discord-axis point): at 2**22 rows fig4 (2048 x 2048) peaks at 32-33 MB and
+# takes 6 s for 322 MB of CSV, 13 s for 775 MB of JSON; fig5 peaks at 48 MB
+# at 2**20 rows and 96 MB at 2**22, where it takes 57 s (wait4 max RSS and
+# wall time, 2-core x86-64 VM, output to /dev/null).
 MAX_TABLE_ROWS = 2**22
 
 @dataclass(frozen=True)
@@ -91,6 +90,8 @@ class RunConfig:
             )
         if not -1.0 <= self.sin_beta <= 1.0:
             raise ValueError(f"--sin-beta must lie in [-1, 1], got {self.sin_beta}")
+        if self.out == "":
+            raise ValueError("--out must name a file, got an empty path")
         if self.format not in ("csv", "json"):
             raise ValueError(f"--format must be csv or json, got {self.format!r}")
         if not (math.isfinite(self.tol_scale) and self.tol_scale >= 0.0):
@@ -282,7 +283,7 @@ def _discord_axis(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     d = np.linspace(0.0, 1.0, cfg.grid_d)
     # one scalar discord_to_c call per row, not discord_to_c_array: the
     # benchmark pins the traced call count to the number of axis rows
-    return d, np.fromiter(map(discord_to_c, d.tolist()), float, d.size)
+    return d, np.fromiter(map(discord_to_c, map(float, d)), float, d.size)
 
 
 def _cos_phase(kl: float, sin_beta: float) -> float:
@@ -290,20 +291,23 @@ def _cos_phase(kl: float, sin_beta: float) -> float:
     return math.cos(DetectionGeometry.from_sin_beta(kl, sin_beta).phase)
 
 
-def _plane(cfg: RunConfig, columns: tuple[str, ...], kernel) -> Table:
-    """The table over the (D, sin beta) grid, D-major, with the columns D, c,
-    sin beta and then ``columns``.  Only the two axes are held: a block
-    gathers the axis values of its rows and runs ``kernel(c, cos_phase)``,
-    elementwise, on those rows alone."""
+def _sweep(cfg: RunConfig, width: int, columns: tuple[str, ...], kernel) -> Table:
+    """The table of ``width`` rows per point of the discord axis, D-major, with
+    the columns D, c and then ``columns``.  Only the axis is held: a block runs
+    ``kernel(c, i, j)`` on its rows' axis indices ``i, j = divmod(row, width)``."""
     d, c = _discord_axis(cfg)
-    sin_betas = np.linspace(-1.0, 1.0, cfg.grid_b)
-    cos_phase = np.array([_cos_phase(cfg.kl, s) for s in sin_betas.tolist()])
 
     def block(rows: range) -> tuple[np.ndarray | Labels, ...]:
-        i, j = np.divmod(np.arange(rows.start, rows.stop, rows.step), cfg.grid_b)
-        return (d[i], c[i], sin_betas[j], *kernel(c[i], cos_phase[j]))
+        i, j = np.divmod(np.arange(rows.start, rows.stop, rows.step), width)
+        return (d[i], c[i], *kernel(c, i, j))
 
-    return Table(("D", "c", "sin_beta", *columns), range(cfg.grid_d * cfg.grid_b), block)
+    return Table(("D", "c", *columns), range(cfg.grid_d * width), block)
+
+
+def _sin_beta_axis(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The sin beta axis of fig2/fig4 and the cos phase of each point."""
+    sin_betas = np.linspace(-1.0, 1.0, cfg.grid_b)
+    return sin_betas, np.array([_cos_phase(cfg.kl, s) for s in sin_betas.tolist()])
 
 
 _STATISTICS_NAMES = tuple(s.value for s in STATISTICS)
@@ -318,49 +322,47 @@ def _g2_cells(e: Emission) -> tuple[np.ndarray, Labels, Labels]:
 
 def cmd_fig2(cfg: RunConfig) -> Table:
     """Intensity over the (discord, sin beta) plane for Werner states."""
-    return _plane(cfg, ("I",), lambda c, cos_phase: (x_intensity(-c, cos_phase),))
+    sin_betas, cos_phase = _sin_beta_axis(cfg)
+    return _sweep(cfg, cfg.grid_b, ("sin_beta", "I"),
+                  lambda c, i, j: (sin_betas[j], x_intensity(-c[i], cos_phase[j])))
 
 
 def cmd_fig3(cfg: RunConfig) -> Table:
     """Intensity against discord along the two extreme observation angles."""
-    d, c = _discord_axis(cfg)
-    forward = x_intensity(-c, _cos_phase(cfg.kl, 1.0))
-    backward = x_intensity(-c, _cos_phase(cfg.kl, 0.0))
-    return Table.of(("D", "c", "I_sinb1", "I_sinb0"), (d, c, forward, backward))
+    forward, backward = _cos_phase(cfg.kl, 1.0), _cos_phase(cfg.kl, 0.0)
+    return _sweep(cfg, 1, ("I_sinb1", "I_sinb0"),
+                  lambda c, i, j: (x_intensity(-c[i], forward), x_intensity(-c[i], backward)))
 
 
 def cmd_fig4(cfg: RunConfig) -> Table:
     """g2 over the (discord, sin beta) plane, flagging undefined points."""
-    return _plane(cfg, ("g2", "statistics", "flag"),
-                  lambda c, cos_phase: _g2_cells(werner_emission(c, cos_phase)))
+    sin_betas, cos_phase = _sin_beta_axis(cfg)
+    return _sweep(cfg, cfg.grid_b, ("sin_beta", "g2", "statistics", "flag"), lambda c, i, j: (
+        sin_betas[j], *_g2_cells(werner_emission(c[i], cos_phase[j]))))
 
 
-def _crossing_marks(statistics: np.ndarray, undefined: np.ndarray) -> np.ndarray:
-    """1 (int8) at the rows of a g2 column where it crosses 1, else 0.
-
-    The side of 1 is that of the statistics label, so the marks follow its
-    +/- CLASSIFY_TOL band.  A defined row is marked when it is Poissonian
-    (except in the first row), or when it lies on the other side of 1 than
-    the previous defined row and that row was not Poissonian.
-    """
-    defined = np.flatnonzero(~undefined)
-    # a defined row's STATISTICS code is 1 + the band of its g2
-    sign = statistics[defined] - 1
-    previous = np.concatenate(([0], sign[:-1]))
-    crossing = np.where(sign == 0, defined > 0, (previous != 0) & (sign != previous))
-    marks = np.zeros(statistics.size, dtype=np.int8)
-    marks[defined[crossing]] = 1
-    return marks
+def _crossing_marks(statistics: np.ndarray, previous: np.ndarray, after_first) -> np.ndarray:
+    """1 (int8) where a g2 row crosses 1, else 0, from the STATISTICS codes of
+    the rows and of the rows before them: a row after the first is marked when
+    it is Poissonian or when it and the row before lie on opposite sides of 1."""
+    # a defined row's code is 1 + the band of its g2, an undefined row's 3
+    sign, before = statistics - 1, previous - 1
+    return (after_first & ((sign == 0) | (sign * before == -1))).astype(np.int8)
 
 
 def cmd_fig5(cfg: RunConfig) -> Table:
-    """g2 against discord at a fixed angle, marking where it crosses 1
-    (see ``_crossing_marks``)."""
-    d, c = _discord_axis(cfg)
-    e = werner_emission(c, _cos_phase(cfg.kl, cfg.sin_beta))
-    crossings = Labels(_crossing_marks(e.statistics, e.undefined), ("", "crossing"))
-    return Table.of(("D", "c", "g2", "statistics", "flag", "transition"),
-                    (d, c, *_g2_cells(e), crossings))
+    """g2 against discord at a fixed angle, marking where it crosses 1.  Only
+    the last row (c = 1) can be undefined, so the row before a defined row is
+    the previous defined row that ``_crossing_marks`` compares it with."""
+    cos_phase = _cos_phase(cfg.kl, cfg.sin_beta)
+
+    def cells(c, i, j):
+        e = werner_emission(c[i], cos_phase)
+        previous = werner_emission(c[i - 1], cos_phase).statistics  # c[-1] for i = 0
+        marks = _crossing_marks(e.statistics, previous, i > 0)
+        return (*_g2_cells(e), Labels(marks, ("", "crossing")))
+
+    return _sweep(cfg, 1, ("g2", "statistics", "flag", "transition"), cells)
 
 
 def cmd_transition(cfg: RunConfig) -> tuple[Table, str]:

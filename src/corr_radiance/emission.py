@@ -224,8 +224,8 @@ def x_emission(half_sum, cz, cos_phase) -> Emission:
     shape of all three; g2 is undefined where the intensity is below
     UNDEFINED_INTENSITY_TOL.  The Werner state c is half_sum = cz = -c, and
     since (-c) x = -(c x) and 1 + (-y) = 1 - y exactly, its values are those
-    of 1 - c cos phi and (1 - c)/(1 - c cos phi)^2 bit for bit.  ``cos_phase`` should come from ``math.cos``, whose last ulp
-    is the scalar functions' own.
+    of 1 - c cos phi and (1 - c)/(1 - c cos phi)^2 bit for bit.  ``cos_phase``
+    should come from ``math.cos``, whose last ulp is the scalar functions' own.
     """
     intensity = np.asarray(x_intensity(half_sum, cos_phase), dtype=float)
     if not np.all(intensity >= 0.0):

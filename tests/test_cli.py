@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from corr_radiance import verify
-from corr_radiance.emission import CLASSIFY_TOL, STATISTICS, PhotonStatistics, x_emission
+from corr_radiance.correlations import discord_to_c
+from corr_radiance.emission import (
+    CLASSIFY_TOL,
+    STATISTICS,
+    UNDEFINED_INTENSITY_TOL,
+    PhotonStatistics,
+    x_emission,
+)
 from corr_radiance.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -92,7 +99,16 @@ class TestTables:
         e = x_emission(0.0, np.array([0.5, g2 - 1.0, -0.5]), 1.0)
         assert e.g2[1] == g2
         assert STATISTICS[e.statistics[1]] is PhotonStatistics.POISSONIAN
-        assert _crossing_marks(e.statistics, e.undefined).tolist() == [0, 1, 0]
+        previous = np.roll(e.statistics, 1)  # the row before; none before row 0
+        marks = _crossing_marks(e.statistics, previous, np.arange(3) > 0)
+        assert marks.tolist() == [0, 1, 0]
+
+    def test_the_row_before_a_defined_row_is_defined(self):
+        # _crossing_marks compares a row with the row before it: g2 is undefined
+        # only where 1 - c cos(phi) < UNDEFINED_INTENSITY_TOL, which 1 - c bounds
+        # from below, so on the longest axis only its last point (c = 1) can be
+        d = np.linspace(0.0, 1.0, MAX_TABLE_ROWS)
+        assert 1.0 - discord_to_c(float(d[-2])) >= 1e-9 > UNDEFINED_INTENSITY_TOL
 
     def test_fig5_without_crossing_has_no_marker(self):
         table = cmd_fig5(cfg("fig5", grid_d=41, sin_beta=1.0))
@@ -228,6 +244,18 @@ class TestMainEntry:
         target = tmp_path / "missing" / "out.csv"
         assert main(["fig3", "--grid-d", "3", "--out", str(target)]) == EXIT_IO
         assert str(target) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["transition", "fig3"])
+    def test_empty_out_exits_one_and_writes_nothing(self, command, tmp_path, monkeypatch, capsys):
+        # realpath('') is the working directory, so the temporary file of an
+        # empty --out went to the parent directory
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main([command, "--grid-d", "3", "--out", ""]) == EXIT_USAGE
+        assert "--out" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [work]
+        assert list(work.iterdir()) == []
 
     def test_verify_self_test_fails_with_zero_tolerance(self, capsys):
         assert main(["verify", "--tol-scale", "0"]) == EXIT_VERIFY

@@ -32,6 +32,7 @@ from corr_radiance.cli import (
     Table,
     cmd_fig4,
     main,
+    render,
     render_csv,
     render_json,
 )
@@ -189,6 +190,38 @@ def test_the_largest_plane_table_is_built_and_rendered_block_by_block():
             assert tracemalloc.get_traced_memory()[1] < 4 << 20
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("size", [1, 2, 3, 7])
+@pytest.mark.parametrize("sin_beta", [0.2, 0.0])
+@pytest.mark.parametrize("command", ["fig3", "fig5"])
+def test_axis_tables_join_from_slices_of_any_size(command, sin_beta, size, fmt):
+    # a fig5 block marks its crossings from the rows before its own
+    cfg = RunConfig(command, grid_d=23, sin_beta=sin_beta, format=fmt)
+    table = getattr(cli, "cmd_" + command)(cfg)
+    whole = render(table, cfg, slice(None))
+    assert "".join(render(table, cfg, slice(start, start + size))
+                   for start in range(0, 23, size)) == whole
+    # at sin beta = 0.2 one row of fig5 crosses 1, at 0 its last row is dark
+    assert command == "fig3" or ("crossing" if sin_beta else "undefined") in whole
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig5"])
+def test_an_axis_table_holds_only_its_axis(command):
+    # holding their columns whole, cmd_fig3/cmd_fig5 peaked at 3.0/3.6 MiB at
+    # 2**16 rows; a table that makes each block from the axis holds D and c,
+    # 1.0 MiB (tracemalloc, CPython 3.11, numpy 2.4)
+    discord_to_c(0.5)  # the bisection's shared table is built once per process
+    rows = 2**16
+    tracemalloc.start()
+    try:
+        table = getattr(cli, "cmd_" + command)(RunConfig(command, grid_d=rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == rows
+    assert peak < 1.25 * 2 * rows * np.dtype(float).itemsize
 
 
 # Linux carries a process's peak RSS across exec, so a child started from this

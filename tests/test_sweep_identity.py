@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corr_radiance import verify
-from corr_radiance.cli import RunConfig, main
+from corr_radiance.cli import _BLOCK_ROWS, RunConfig, main
 from corr_radiance.correlations import discord_to_c, discord_to_c_array, discord_werner_closed
 from corr_radiance.emission import (
     STATISTICS,
@@ -199,6 +199,19 @@ def _case_id(cfg):
 
 @pytest.mark.parametrize("cfg", list(_cases()), ids=_case_id)
 def test_sweeps_are_byte_identical_to_the_scalar_reference(cfg, tmp_path):
+    assert _cli_output(tmp_path, cfg) == reference_output(cfg)
+
+
+def _long_axis_cases():
+    # three blocks, the last of one row; sin beta = 0 makes the last row dark
+    for kl in KLS:
+        yield RunConfig("fig3", kl=kl, grid_d=2 * _BLOCK_ROWS + 1)
+        for sin_beta in SIN_BETAS:
+            yield RunConfig("fig5", kl=kl, grid_d=2 * _BLOCK_ROWS + 1, sin_beta=sin_beta)
+
+
+@pytest.mark.parametrize("cfg", list(_long_axis_cases()), ids=_case_id)
+def test_axis_tables_of_several_blocks_are_byte_identical(cfg, tmp_path):
     assert _cli_output(tmp_path, cfg) == reference_output(cfg)
 
 
