@@ -7,76 +7,4 @@ field: directional intensity, photon statistics, and the boundaries between
 the emission regimes.
 """
 
-from .correlations import (
-    CorrelationClass,
-    DiscordResult,
-    classify_correlations,
-    concurrence_closed,
-    concurrence_wootters,
-    discord_numeric,
-    discord_to_c,
-    discord_werner_closed,
-)
-from .emission import (
-    DetectionGeometry,
-    EmissionReport,
-    PhotonStatistics,
-    Radiance,
-    TransitionPoint,
-    classify,
-    field_operator,
-    find_statistics_transition,
-    g2_closed_werner,
-    g2_oracle,
-    intensity_closed_x,
-    intensity_oracle,
-    radiance_boundary,
-)
-from .qstate import (
-    DensityCheck,
-    DensityMatrix,
-    XStateParams,
-    excitation_probability,
-    make_werner,
-    make_x_state,
-    partial_trace,
-    sigma_minus,
-    validate_density,
-    von_neumann_entropy,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CorrelationClass",
-    "DensityCheck",
-    "DensityMatrix",
-    "DetectionGeometry",
-    "DiscordResult",
-    "EmissionReport",
-    "PhotonStatistics",
-    "Radiance",
-    "TransitionPoint",
-    "XStateParams",
-    "classify",
-    "classify_correlations",
-    "concurrence_closed",
-    "concurrence_wootters",
-    "discord_numeric",
-    "discord_to_c",
-    "discord_werner_closed",
-    "excitation_probability",
-    "field_operator",
-    "find_statistics_transition",
-    "g2_closed_werner",
-    "g2_oracle",
-    "intensity_closed_x",
-    "intensity_oracle",
-    "make_werner",
-    "make_x_state",
-    "partial_trace",
-    "radiance_boundary",
-    "sigma_minus",
-    "validate_density",
-    "von_neumann_entropy",
-]

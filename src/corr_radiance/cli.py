@@ -9,6 +9,7 @@ plotting never needs this package.  Exit codes: 0 success, 1 bad arguments,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -286,11 +287,6 @@ def _discord_axis(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return d, np.fromiter(map(discord_to_c, map(float, d)), float, d.size)
 
 
-def _cos_phase(kl: float, sin_beta: float) -> float:
-    # math, not numpy: the last ulp of a transcendental is not portable
-    return math.cos(DetectionGeometry.from_sin_beta(kl, sin_beta).phase)
-
-
 def _sweep(cfg: RunConfig, width: int, columns: tuple[str, ...], kernel) -> Table:
     """The table of ``width`` rows per point of the discord axis, D-major, with
     the columns D, c and then ``columns``.  Only the axis is held: a block runs
@@ -307,7 +303,8 @@ def _sweep(cfg: RunConfig, width: int, columns: tuple[str, ...], kernel) -> Tabl
 def _sin_beta_axis(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """The sin beta axis of fig2/fig4 and the cos phase of each point."""
     sin_betas = np.linspace(-1.0, 1.0, cfg.grid_b)
-    return sin_betas, np.array([_cos_phase(cfg.kl, s) for s in sin_betas.tolist()])
+    return sin_betas, np.array([DetectionGeometry.from_sin_beta(cfg.kl, s).cos_phase
+                                for s in sin_betas.tolist()])
 
 
 _STATISTICS_NAMES = tuple(s.value for s in STATISTICS)
@@ -329,7 +326,7 @@ def cmd_fig2(cfg: RunConfig) -> Table:
 
 def cmd_fig3(cfg: RunConfig) -> Table:
     """Intensity against discord along the two extreme observation angles."""
-    forward, backward = _cos_phase(cfg.kl, 1.0), _cos_phase(cfg.kl, 0.0)
+    forward, backward = (DetectionGeometry.from_sin_beta(cfg.kl, s).cos_phase for s in (1.0, 0.0))
     return _sweep(cfg, 1, ("I_sinb1", "I_sinb0"),
                   lambda c, i, j: (x_intensity(-c[i], forward), x_intensity(-c[i], backward)))
 
@@ -354,7 +351,7 @@ def cmd_fig5(cfg: RunConfig) -> Table:
     """g2 against discord at a fixed angle, marking where it crosses 1.  Only
     the last row (c = 1) can be undefined, so the row before a defined row is
     the previous defined row that ``_crossing_marks`` compares it with."""
-    cos_phase = _cos_phase(cfg.kl, cfg.sin_beta)
+    cos_phase = DetectionGeometry.from_sin_beta(cfg.kl, cfg.sin_beta).cos_phase
 
     def cells(c, i, j):
         e = werner_emission(c[i], cos_phase)
@@ -457,6 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point standard output at the null device, so that the flush at exit
+    drops what its buffer still holds instead of failing again."""
+    with open(os.devnull, "wb") as null, contextlib.suppress(OSError, ValueError):
+        os.dup2(null.fileno(), sys.stdout.fileno())  # skipped without a file descriptor
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -476,18 +480,19 @@ def main(argv=None) -> int:
     # looked up by name on every call, so a patched cmd_* attribute is the one run
     result = globals()["cmd_" + cfg.command](cfg)
     table, *extra = result if isinstance(result, tuple) else (result,)
-    status = _PRINTERS[cfg.command](cfg, *extra) if extra else EXIT_OK
-    if cfg.command == "verify" and cfg.out is None:
-        # the printed lines already carry the whole report
-        return status
-
+    where = "standard output"
     try:
-        if cfg.out is None:
+        status = _PRINTERS[cfg.command](cfg, *extra) if extra else EXIT_OK
+        # verify's printed lines already carry the whole report
+        if cfg.out is None and cfg.command != "verify":
             _write_blocks(table, cfg, sys.stdout)
-        else:
+        sys.stdout.flush()
+        if cfg.out is not None:
+            where = repr(cfg.out)
             _write_file(table, cfg, cfg.out)
     except OSError as exc:
-        where = "standard output" if cfg.out is None else repr(cfg.out)
+        if where == "standard output":
+            _drop_stdout()
         print(f"corr-radiance: error: cannot write {where}: {exc}", file=sys.stderr)
         return EXIT_IO
     return status

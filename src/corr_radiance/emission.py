@@ -67,6 +67,13 @@ class DetectionGeometry:
         """Relative optical phase kl sin(beta) between the two emitters."""
         return self.kl * math.sin(self.beta)
 
+    @property
+    def cos_phase(self) -> float:
+        """cos(kl sin beta) from libm (``math.cos``), not numpy: numpy's cos
+        may differ in the last ulp with the build and the CPU.  Every table,
+        solver and check takes cos phi from here, so their bytes agree."""
+        return math.cos(self.phase)
+
 
 @dataclass(frozen=True)
 class EmissionReport:
@@ -140,7 +147,7 @@ def intensity_oracle(
 
 def intensity_closed_x(params: XStateParams, geom: DetectionGeometry) -> float:
     """Closed-form intensity 1 + (cx + cy)/2 cos(kl sin beta) of a Bell-diagonal state."""
-    return x_intensity(0.5 * (params.cx + params.cy), math.cos(geom.phase))
+    return x_intensity(0.5 * (params.cx + params.cy), geom.cos_phase)
 
 
 def g2_oracle(
@@ -173,7 +180,7 @@ def g2_closed_werner(c: float, geom: DetectionGeometry) -> float | None:
     """Closed-form Werner g2: (1 - c) / (1 - c cos(kl sin beta))^2, None at 0/0."""
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"Werner parameter c = {c} lies outside [0, 1]")
-    e = x_emission(-c, -c, math.cos(geom.phase))
+    e = x_emission(-c, -c, geom.cos_phase)
     return None if e.undefined else float(e.g2)
 
 
@@ -225,7 +232,7 @@ def x_emission(half_sum, cz, cos_phase) -> Emission:
     UNDEFINED_INTENSITY_TOL.  The Werner state c is half_sum = cz = -c, and
     since (-c) x = -(c x) and 1 + (-y) = 1 - y exactly, its values are those
     of 1 - c cos phi and (1 - c)/(1 - c cos phi)^2 bit for bit.  ``cos_phase``
-    should come from ``math.cos``, whose last ulp is the scalar functions' own.
+    should be a ``DetectionGeometry.cos_phase``, which the scalar functions use.
     """
     intensity = np.asarray(x_intensity(half_sum, cos_phase), dtype=float)
     if not np.all(intensity >= 0.0):
@@ -291,7 +298,7 @@ def find_statistics_transition(geom: DetectionGeometry) -> TransitionPoint | Non
     which lies in (0, 1) exactly when cos phi is in (1/2, 1).  A bisection on
     the same equation cross-checks the algebra before the root is returned.
     """
-    cos_phi = math.cos(geom.phase)
+    cos_phi = geom.cos_phase
     if cos_phi <= 0.5:
         return None
     c_star = (2.0 * cos_phi - 1.0) / cos_phi**2

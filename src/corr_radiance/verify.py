@@ -71,8 +71,7 @@ def _geometry_grid() -> list[DetectionGeometry]:
 
 
 def _cos_phases(geoms: list[DetectionGeometry]) -> np.ndarray:
-    # math.cos, as the sweeps take it
-    return np.array([math.cos(geom.phase) for geom in geoms])
+    return np.array([geom.cos_phase for geom in geoms])
 
 
 @functools.cache
@@ -284,7 +283,7 @@ def suite_superradiant_statistics(tol_scale: float = 1.0) -> SuiteResult:
 
 def suite_transition_sign_structure(tol_scale: float = 1.0) -> SuiteResult:
     geom = DetectionGeometry.from_sin_beta(math.pi, 0.2)
-    codes = werner_emission(np.linspace(1e-6, 1.0 - 1e-6, 2001), math.cos(geom.phase)).statistics
+    codes = werner_emission(np.linspace(1e-6, 1.0 - 1e-6, 2001), geom.cos_phase).statistics
     signs = codes[codes != STATISTICS.index(PhotonStatistics.POISSONIAN)]
     flips = np.count_nonzero(signs[1:] != signs[:-1])
     return _result("single statistics crossing at the reference angle", abs(flips - 1), 0.0, tol_scale)

