@@ -49,6 +49,9 @@ class TestDiscordNumeric:
         assert abs(discord_numeric(rho).value) <= 1e-6
         assert abs(discord_numeric(rho, measured=1).value) <= 1e-6
 
+    def test_uncorrelated_werner_state(self):
+        assert abs(discord_numeric(make_werner(0.0)).value) <= 1e-8
+
     def test_measured_atom_does_not_matter(self):
         for c in (0.2, 0.5, 0.8):
             rho = make_werner(c)
@@ -109,6 +112,11 @@ class TestDiscordInversion:
     def test_endpoints_are_exact(self):
         assert discord_to_c(0.0) == 0.0
         assert discord_to_c(1.0) == 1.0
+
+    def test_round_trip(self):
+        for c in np.arange(0.0, 1.0 + 1e-12, 0.1):
+            c = float(round(c, 10))
+            assert abs(discord_to_c(discord_werner_closed(c)) - c) <= 1e-6
 
     def test_residual_within_tolerance(self):
         for d in (0.05, 0.126, 0.5, 0.87, 0.999):

@@ -273,6 +273,13 @@ class TestRadianceBoundary:
 
         assert cli.MAX_KL is MAX_KL
 
+    def test_intensity_is_unity_on_the_boundary(self):
+        for kl in (PI, 3.0 * PI):
+            for s in radiance_boundary(kl):
+                geom = DetectionGeometry.from_sin_beta(kl, s)
+                for c in np.arange(0.0, 1.0 + 1e-12, 0.1):
+                    assert abs(intensity_closed_x(werner_params(float(c)), geom) - 1.0) <= 1e-12
+
 
 class TestStatisticsTransition:
     def test_reference_point(self):
@@ -346,3 +353,13 @@ class TestRegimeStructure:
             geom = DetectionGeometry.from_sin_beta(PI, s)
             for c in (0.1, 0.5, 1.0):
                 assert intensity_closed_x(werner_params(c), geom) < 1.0
+
+    def test_g2_crosses_one_exactly_once_at_reference_angle(self):
+        geom = DetectionGeometry.from_sin_beta(PI, 0.2)
+        signs = []
+        for c in np.linspace(1e-6, 1.0 - 1e-6, 1001):
+            g2 = g2_closed_werner(float(c), geom)
+            if abs(g2 - 1.0) > 1e-12:
+                signs.append(1 if g2 > 1.0 else -1)
+        flips = sum(1 for a, b in zip(signs[:-1], signs[1:]) if a != b)
+        assert flips == 1

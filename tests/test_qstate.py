@@ -132,6 +132,11 @@ class TestValidation:
 
 
 class TestPartialTrace:
+    def test_x_state_marginals_are_maximally_mixed(self):
+        rho = make_x_state(XStateParams(0.4, -0.3, 0.2))
+        for keep in (1, 2):
+            assert np.allclose(partial_trace(rho, keep).mat, np.eye(2) / 2.0, atol=1e-15)
+
     def test_product_state_marginals(self):
         rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         assert np.allclose(partial_trace(rho, 1).mat, np.diag([1.0, 0.0]), atol=1e-15)
@@ -178,6 +183,12 @@ class TestLoweringOperators:
         assert np.all(sigma_minus(2) @ ket("gg") == 0.0)
         assert np.allclose(sigma_minus(1) @ sigma_minus(2) @ ket("ee"), ket("gg"), atol=1e-15)
 
+    def test_nilpotent_and_commuting_exactly(self):
+        s1, s2 = sigma_minus(1), sigma_minus(2)
+        assert np.all(s1 @ s1 == 0.0)
+        assert np.all(s2 @ s2 == 0.0)
+        assert np.all(s1 @ s2 - s2 @ s1 == 0.0)
+
     def test_rejects_bad_atom_index(self):
         with pytest.raises(ValueError):
             sigma_minus(0)
@@ -187,11 +198,29 @@ class TestLoweringOperators:
 
 
 class TestExcitation:
+    def test_single_shared_excitation_for_x_states(self):
+        for p in [XStateParams(0, 0, 0), XStateParams(-1, -1, -1), XStateParams(0.5, 0.5, -0.5)]:
+            assert excitation_probability(make_x_state(p)) == pytest.approx(1.0, abs=1e-12)
+
     def test_pure_extremes(self):
         both = DensityMatrix(np.outer(ket("ee"), ket("ee").conj()))
         none = DensityMatrix(np.outer(ket("gg"), ket("gg").conj()))
         assert excitation_probability(both) == pytest.approx(2.0, abs=1e-14)
         assert excitation_probability(none) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_structural_invariants_over_coefficient_grid():
+    """Every physical coefficient triple on the 0.1-step grid yields a valid
+    state with maximally mixed marginals and one shared excitation."""
+    params = valid_x_params(step=0.1)
+    assert len(params) > 2000
+    half = np.eye(2) / 2.0
+    for p in params:
+        rho = make_x_state(p)
+        assert validate_density(rho.mat).passed
+        assert np.max(np.abs(partial_trace(rho, 1).mat - half)) <= 1e-12
+        assert np.max(np.abs(partial_trace(rho, 2).mat - half)) <= 1e-12
+        assert abs(excitation_probability(rho) - 1.0) <= 1e-12
 
 
 def reference_valid_x_params(step):
