@@ -362,8 +362,9 @@ def cmd_fig5(cfg: RunConfig) -> Table:
     return _sweep(cfg, 1, ("g2", "statistics", "flag", "transition"), cells)
 
 
-def cmd_transition(cfg: RunConfig) -> tuple[Table, str]:
-    """Locate the statistics transition; reports status none when absent."""
+def cmd_transition(cfg: RunConfig) -> tuple[Table, list[str], int]:
+    """Locate the statistics transition; reports status none when absent.
+    With ``--out`` a summary line is printed, else the table itself."""
     geom = DetectionGeometry.from_sin_beta(cfg.kl, cfg.sin_beta)
     point = find_statistics_transition(geom)
     if point is None:
@@ -377,10 +378,11 @@ def cmd_transition(cfg: RunConfig) -> tuple[Table, str]:
         )
     values = np.array([[cfg.kl], [cfg.sin_beta], [c_star], [d_t]])
     columns = ("kl", "sin_beta", "c_star", "D_t", "status")
-    return Table.of(columns, (*values, Labels(np.zeros(1, np.int8), (status,)))), summary
+    table = Table.of(columns, (*values, Labels(np.zeros(1, np.int8), (status,))))
+    return table, [summary] if cfg.out is not None else [], EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[Table, list[str], bool]:
+def cmd_verify(cfg: RunConfig) -> tuple[Table, list[str], int]:
     """Run every cross-validation suite and tabulate the margins."""
     # imported here, not at the top: only this command needs the suites
     from . import verify
@@ -400,23 +402,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[Table, list[str], bool]:
         np.array([r.tolerance for r in results]),
         Labels(passed, ("FAIL", "PASS")),
     ))
-    return table, lines, bool(passed.all())
-
-
-def _print_transition(cfg: RunConfig, summary: str) -> int:
-    if cfg.out is not None:
-        print(summary)
-    return EXIT_OK
-
-
-def _print_verify(cfg: RunConfig, lines: list[str], passed: bool) -> int:
-    for line in lines:
-        print(line)
-    return EXIT_OK if passed else EXIT_VERIFY
-
-
-# what a command that returns more than its table prints, and its exit status
-_PRINTERS = {"transition": _print_transition, "verify": _print_verify}
+    return table, lines, EXIT_OK if passed.all() else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
@@ -431,25 +417,31 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    # argparse's own print_help drops an OSError of the write; main reports it
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
 
 def build_parser() -> argparse.ArgumentParser:
+    # an option left out is missing from the namespace: RunConfig holds the defaults
     parser = _Parser(
         prog="corr-radiance",
         description="Sweep tables and verification for correlation-driven two-atom emission.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("command", choices=COMMANDS, help="which table or action to run")
-    parser.add_argument("--kl", type=float, default=math.pi,
+    parser.add_argument("--kl", type=float,
                         help="wave number times atom separation, in (1, MAX_KL = 1000] (default: pi)")
-    parser.add_argument("--grid-d", type=int, default=101,
+    parser.add_argument("--grid-d", type=int,
                         help="samples along the discord axis (default: 101)")
-    parser.add_argument("--grid-b", type=int, default=101,
+    parser.add_argument("--grid-b", type=int,
                         help="samples along the sin(beta) axis (default: 101)")
-    parser.add_argument("--sin-beta", type=float, default=0.2,
+    parser.add_argument("--sin-beta", type=float,
                         help="fixed observation angle for fig5/transition (default: 0.2)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+    parser.add_argument("--format", choices=("csv", "json"),
                         help="output format (default: csv)")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--tol-scale", type=float, default=1.0,
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--tol-scale", type=float,
                         help="rescale verification tolerances; 0 is a harness self-test")
     return parser
 
@@ -462,29 +454,30 @@ def _drop_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help exits 0, usage errors exit 1
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
-
-    # the parser's dests are exactly the fields of RunConfig
-    cfg = RunConfig(**vars(args))
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"corr-radiance: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    # looked up by name on every call, so a patched cmd_* attribute is the one run
-    result = globals()["cmd_" + cfg.command](cfg)
-    table, *extra = result if isinstance(result, tuple) else (result,)
     where = "standard output"
+    # the one guard of every write: the commands themselves do no I/O
     try:
-        status = _PRINTERS[cfg.command](cfg, *extra) if extra else EXIT_OK
-        # verify's printed lines already carry the whole report
-        if cfg.out is None and cfg.command != "verify":
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help exits 0, usage errors exit 1
+            sys.stdout.flush()  # the help text fails here, not at the exit flush
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+
+        # the parser's dests are exactly the fields of RunConfig
+        cfg = RunConfig(**vars(args))
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            print(f"corr-radiance: error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+
+        # looked up by name on every call, so a patched cmd_* attribute is the one run
+        result = globals()["cmd_" + cfg.command](cfg)
+        table, lines, status = result if isinstance(result, tuple) else (result, [], EXIT_OK)
+        for line in lines:
+            print(line)
+        # printed lines carry the report; the table goes to --out or, alone, here
+        if cfg.out is None and not lines:
             _write_blocks(table, cfg, sys.stdout)
         sys.stdout.flush()
         if cfg.out is not None:

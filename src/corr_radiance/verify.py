@@ -3,7 +3,8 @@ route, plus the structural guarantees the rest of the package relies on.
 
 Every suite reports its worst observed deviation next to the tolerance it
 must meet, so a verification run shows actual margins rather than a bare
-pass/fail.  ``tol_scale`` rescales all tolerances; running with 0 is a
+pass/fail.  The suites take no arguments and report at their own tolerances;
+``run_all(tol_scale)`` rescales them all, and running it with 0 is a
 self-test that the harness can fail.  A numeric discord optimum that did not
 converge counts as an infinite deviation.
 """
@@ -57,17 +58,21 @@ class SuiteResult:
     passed: bool
 
 
-def _result(name: str, deviation: float, tolerance: float, tol_scale: float) -> SuiteResult:
+def _result(name: str, deviation: float, tolerance: float, tol_scale: float = 1.0) -> SuiteResult:
     allowed = tolerance * tol_scale
     return SuiteResult(name, float(deviation), allowed, float(deviation) <= allowed)
 
 
-def _geometry_grid() -> list[DetectionGeometry]:
-    geoms = []
-    for kl in (1.7, math.pi, 2.0 * math.pi, 3.0 * math.pi):
-        for s in np.linspace(-1.0, 1.0, 7):
-            geoms.append(DetectionGeometry.from_sin_beta(kl, float(s)))
-    return geoms
+def _geometry_grid(angles: int) -> list[DetectionGeometry]:
+    """``angles`` values of sin beta over [-1, 1] at each of four ``kl``."""
+    return [DetectionGeometry.from_sin_beta(kl, float(s))
+            for kl in (1.7, math.pi, 2.0 * math.pi, 3.0 * math.pi)
+            for s in np.linspace(-1.0, 1.0, angles)]
+
+
+def _werner_grid(step: float) -> list[float]:
+    """Werner c from 0 to 1 by ``step``, rounded to 10 decimals: 0.3, not 0.30000000000000004."""
+    return [float(round(c, 10)) for c in np.arange(0.0, 1.0 + 1e-12, step)]
 
 
 def _cos_phases(geoms: list[DetectionGeometry]) -> np.ndarray:
@@ -88,7 +93,7 @@ def _werner_stack(cs) -> np.ndarray:
     return x_states([XStateParams(-c, -c, -c) for c in cs])
 
 
-def suite_x_state_validity(tol_scale: float = 1.0) -> SuiteResult:
+def suite_x_state_validity() -> SuiteResult:
     check = validate_density(_x_state_grid())
     dev = max(
         0.0,
@@ -98,33 +103,33 @@ def suite_x_state_validity(tol_scale: float = 1.0) -> SuiteResult:
     )
     if not check.passed.all():
         dev = max(dev, 1.0)
-    return _result("x-state validity on 0.1-step grid", dev, 1e-10, tol_scale)
+    return _result("x-state validity on 0.1-step grid", dev, 1e-10)
 
 
-def suite_marginals(tol_scale: float = 1.0) -> SuiteResult:
+def suite_marginals() -> SuiteResult:
     half = np.eye(2) / 2.0
     dev = 0.0
     for keep in (1, 2):
         dev = max(dev, float(np.max(np.abs(partial_traces(_x_state_grid(), keep) - half))))
-    return _result("reduced states are maximally mixed", dev, 1e-12, tol_scale)
+    return _result("reduced states are maximally mixed", dev, 1e-12)
 
 
-def suite_excitation(tol_scale: float = 1.0) -> SuiteResult:
+def suite_excitation() -> SuiteResult:
     dev = float(np.max(np.abs(excitation_probabilities(_x_state_grid()) - 1.0)))
-    return _result("one excitation shared between the atoms", dev, 1e-12, tol_scale)
+    return _result("one excitation shared between the atoms", dev, 1e-12)
 
 
-def suite_lowering_algebra(tol_scale: float = 1.0) -> SuiteResult:
+def suite_lowering_algebra() -> SuiteResult:
     s1, s2 = sigma_minus(1), sigma_minus(2)
     dev = max(
         float(np.max(np.abs(s1 @ s1))),
         float(np.max(np.abs(s2 @ s2))),
         float(np.max(np.abs(s1 @ s2 - s2 @ s1))),
     )
-    return _result("lowering operators nilpotent and commuting", dev, 0.0, tol_scale)
+    return _result("lowering operators nilpotent and commuting", dev, 0.0)
 
 
-def suite_entropy_unitary_invariance(tol_scale: float = 1.0) -> SuiteResult:
+def suite_entropy_unitary_invariance() -> SuiteResult:
     rng = np.random.default_rng(20240817)
     states = [make_werner(0.3).mat, make_x_state(XStateParams(0.5, 0.5, -0.5)).mat]
     dev = 0.0
@@ -137,14 +142,14 @@ def suite_entropy_unitary_invariance(tol_scale: float = 1.0) -> SuiteResult:
                 dev,
                 abs(von_neumann_entropy(u @ mat @ u.conj().T) - von_neumann_entropy(mat)),
             )
-    return _result("entropy invariant under unitaries", dev, 1e-10, tol_scale)
+    return _result("entropy invariant under unitaries", dev, 1e-10)
 
 
-def suite_discord_monotonicity(tol_scale: float = 1.0) -> SuiteResult:
+def suite_discord_monotonicity() -> SuiteResult:
     cs = np.arange(0.0, 1.0 + 1e-12, 1e-3)
     ds = np.array([discord_werner_closed(float(c)) for c in cs])
     dev = float(np.max(ds[:-1] - ds[1:]))
-    return _result("discord nondecreasing in c", dev, 1e-12, tol_scale)
+    return _result("discord nondecreasing in c", dev, 1e-12)
 
 
 # the Werner optima of the current run_all call, keyed by (c, measured);
@@ -164,63 +169,57 @@ def _werner_optimum(c: float, measured: int = 2) -> DiscordResult:
     return optima[key]
 
 
-def suite_discord_oracle(tol_scale: float = 1.0) -> SuiteResult:
+def suite_discord_oracle() -> SuiteResult:
     dev = 0.0
-    for c in np.arange(0.0, 1.0 + 1e-12, 0.1):
-        c = float(round(c, 10))
+    for c in _werner_grid(0.1):
         numeric = _werner_optimum(c)
         closed = discord_werner_closed(c)
         dev = max(dev, abs(numeric.value - closed) if numeric.converged else math.inf)
-    return _result("discord optimizer matches closed form", dev, 1e-4, tol_scale)
+    return _result("discord optimizer matches closed form", dev, 1e-4)
 
 
-def suite_discord_symmetry(tol_scale: float = 1.0) -> SuiteResult:
+def suite_discord_symmetry() -> SuiteResult:
     dev = 0.0
     for c in (0.3, 0.9):
         one, two = _werner_optimum(c, measured=1), _werner_optimum(c, measured=2)
         dev = max(dev, abs(one.value - two.value) if one.converged and two.converged else math.inf)
-    return _result("discord independent of measured atom", dev, 2e-4, tol_scale)
+    return _result("discord independent of measured atom", dev, 2e-4)
 
 
-def suite_discord_zero_at_classical(tol_scale: float = 1.0) -> SuiteResult:
+def suite_discord_zero_at_classical() -> SuiteResult:
     numeric = _werner_optimum(0.0)
     dev = abs(numeric.value) if numeric.converged else math.inf
-    return _result("zero discord for the uncorrelated state", dev, 1e-8, tol_scale)
+    return _result("zero discord for the uncorrelated state", dev, 1e-8)
 
 
-def suite_discord_round_trip(tol_scale: float = 1.0) -> SuiteResult:
+def suite_discord_round_trip() -> SuiteResult:
     dev = 0.0
-    for c in np.arange(0.0, 1.0 + 1e-12, 0.1):
-        c = float(round(c, 10))
+    for c in _werner_grid(0.1):
         dev = max(dev, abs(discord_to_c(discord_werner_closed(c)) - c))
-    return _result("discord inversion round trip", dev, 1e-6, tol_scale)
+    return _result("discord inversion round trip", dev, 1e-6)
 
 
-def suite_concurrence_oracle(tol_scale: float = 1.0) -> SuiteResult:
+def suite_concurrence_oracle() -> SuiteResult:
     dev = 0.0
-    for c in np.arange(0.0, 1.0 + 1e-12, 0.05):
-        c = float(round(c, 10))
+    for c in _werner_grid(0.05):
         dev = max(dev, abs(concurrence_wootters(make_werner(c)) - concurrence_closed(c)))
-    return _result("spin-flip concurrence matches closed form", dev, 1e-10, tol_scale)
+    return _result("spin-flip concurrence matches closed form", dev, 1e-10)
 
 
-def suite_intensity_oracle(tol_scale: float = 1.0) -> SuiteResult:
+def suite_intensity_oracle() -> SuiteResult:
     params = valid_x_params(step=0.4)
-    geoms = _geometry_grid()
+    geoms = _geometry_grid(7)
     assert len(params) * len(geoms) >= 1000
     stack = x_states(params)
     oracle = np.stack([intensity_oracle(stack, geom) for geom in geoms], axis=1)
     half_sums = np.array([0.5 * (p.cx + p.cy) for p in params])
     dev = float(np.max(np.abs(oracle - x_intensity(half_sums[:, None], _cos_phases(geoms)))))
-    return _result("intensity trace matches closed form", dev, 1e-12, tol_scale)
+    return _result("intensity trace matches closed form", dev, 1e-12)
 
 
-def suite_g2_oracle(tol_scale: float = 1.0) -> SuiteResult:
-    geoms = []
-    for kl in (1.7, math.pi, 2.0 * math.pi, 3.0 * math.pi):
-        for s in np.linspace(-1.0, 1.0, 13):
-            geoms.append(DetectionGeometry.from_sin_beta(kl, float(s)))
-    cs = [float(round(c, 10)) for c in np.arange(0.0, 1.0 + 1e-12, 0.05)]
+def suite_g2_oracle() -> SuiteResult:
+    geoms = _geometry_grid(13)
+    cs = _werner_grid(0.05)
     closed = werner_emission(np.array(cs)[:, None], _cos_phases(geoms))
     werner = _werner_stack(cs)
     oracle = np.stack([g2_oracle(werner, geom) for geom in geoms], axis=1)
@@ -230,10 +229,10 @@ def suite_g2_oracle(tol_scale: float = 1.0) -> SuiteResult:
         float(np.max(np.abs(oracle - closed.g2), where=defined, initial=0.0)),
         float(np.any(closed.undefined != np.isnan(oracle))),
     )
-    return _result("g2 trace ratio matches closed form", dev, 1e-12, tol_scale)
+    return _result("g2 trace ratio matches closed form", dev, 1e-12)
 
 
-def suite_phase_convention(tol_scale: float = 1.0) -> SuiteResult:
+def suite_phase_convention() -> SuiteResult:
     werner = _werner_stack((0.0, 0.4, 0.8, 1.0))
     dev = 0.0
     for kl in (math.pi, 3.0 * math.pi):
@@ -250,18 +249,18 @@ def suite_phase_convention(tol_scale: float = 1.0) -> SuiteResult:
                 float(np.max(np.abs(ga - gb), where=both, initial=0.0)),
                 float(np.any(np.isnan(ga) != np.isnan(gb))),
             )
-    return _result("observables blind to phase convention", dev, 1e-12, tol_scale)
+    return _result("observables blind to phase convention", dev, 1e-12)
 
 
-def suite_monotone_enhancement(tol_scale: float = 1.0) -> SuiteResult:
+def suite_monotone_enhancement() -> SuiteResult:
     c = np.array([discord_to_c(float(d)) for d in np.linspace(0.0, 1.0, 21)])
     geoms = [DetectionGeometry.from_sin_beta(math.pi, s) for s in (1.0, 0.0)]
     rising, falling = x_intensity(-c[:, None], _cos_phases(geoms)).T
     dev = max(float(np.max(rising[:-1] - rising[1:])), float(np.max(falling[1:] - falling[:-1])))
-    return _result("intensity strictly monotone in discord", dev, 0.0, tol_scale)
+    return _result("intensity strictly monotone in discord", dev, 0.0)
 
 
-def suite_boundary_neutrality(tol_scale: float = 1.0) -> SuiteResult:
+def suite_boundary_neutrality() -> SuiteResult:
     geoms = [
         DetectionGeometry.from_sin_beta(kl, s)
         for kl in (math.pi, 3.0 * math.pi)
@@ -269,24 +268,24 @@ def suite_boundary_neutrality(tol_scale: float = 1.0) -> SuiteResult:
     ]
     c = np.arange(0.0, 1.0 + 1e-12, 0.1)
     dev = float(np.max(np.abs(x_intensity(-c, _cos_phases(geoms)[:, None]) - 1.0)))
-    return _result("unit intensity on the radiance boundary", dev, 1e-12, tol_scale)
+    return _result("unit intensity on the radiance boundary", dev, 1e-12)
 
 
-def suite_superradiant_statistics(tol_scale: float = 1.0) -> SuiteResult:
+def suite_superradiant_statistics() -> SuiteResult:
     geoms = [DetectionGeometry.from_sin_beta(math.pi, s) for s in (-0.95, -0.75, -0.55, 0.55, 0.75, 0.95)]
     c = np.array([discord_to_c(float(d)) for d in np.linspace(0.0, 1.0, 50)])
     g2 = werner_emission(c, _cos_phases(geoms)[:, None]).g2
     inside = (0.0 < c) & (c < 1.0)
     dev = max(float(np.max(g2[:, inside] - 1.0)), float(np.max(g2[:, 1:] - g2[:, :-1])))
-    return _result("superradiant lobes stay sub-Poissonian", dev, 0.0, tol_scale)
+    return _result("superradiant lobes stay sub-Poissonian", dev, 0.0)
 
 
-def suite_transition_sign_structure(tol_scale: float = 1.0) -> SuiteResult:
+def suite_transition_sign_structure() -> SuiteResult:
     geom = DetectionGeometry.from_sin_beta(math.pi, 0.2)
     codes = werner_emission(np.linspace(1e-6, 1.0 - 1e-6, 2001), geom.cos_phase).statistics
     signs = codes[codes != STATISTICS.index(PhotonStatistics.POISSONIAN)]
     flips = np.count_nonzero(signs[1:] != signs[:-1])
-    return _result("single statistics crossing at the reference angle", abs(flips - 1), 0.0, tol_scale)
+    return _result("single statistics crossing at the reference angle", abs(flips - 1), 0.0)
 
 
 ALL_SUITES = (
@@ -312,13 +311,15 @@ ALL_SUITES = (
 
 
 def run_all(tol_scale: float = 1.0) -> list[SuiteResult]:
-    """Run every suite; the package is healthy iff all of them pass.
+    """Run every suite with its tolerance times ``tol_scale``; the package is
+    healthy iff all of them pass.
 
     The discord suites share each Werner optimum they have in common, within
     this call only.
     """
     token = _run_optima.set({})
     try:
-        return [suite(tol_scale) for suite in ALL_SUITES]
+        results = [suite() for suite in ALL_SUITES]
     finally:
         _run_optima.reset(token)
+    return [_result(r.name, r.max_deviation, r.tolerance, tol_scale) for r in results]

@@ -17,6 +17,7 @@ from corr_radiance.emission import (
     x_emission,
 )
 from corr_radiance.cli import (
+    COMMANDS,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -30,6 +31,7 @@ from corr_radiance.cli import (
     cmd_fig4,
     cmd_fig5,
     _crossing_marks,
+    build_parser,
     cmd_transition,
     main,
     render_csv,
@@ -115,10 +117,13 @@ class TestTables:
         assert all(r[5] == "" for r in rows_of(table))
 
     def test_transition_rows(self):
-        table, summary = cmd_transition(cfg("transition", sin_beta=0.2))
+        # the summary line is returned to be printed only beside an --out file
+        table, (summary,), status = cmd_transition(cfg("transition", sin_beta=0.2, out="t.csv"))
         assert rows_of(table)[0][4] == "ok"
         assert "c_star=" in summary
-        table, summary = cmd_transition(cfg("transition", sin_beta=1.0))
+        assert status == EXIT_OK
+        assert cmd_transition(cfg("transition", sin_beta=0.2))[1:] == ([], EXIT_OK)
+        table, (summary,), _ = cmd_transition(cfg("transition", sin_beta=1.0, out="t.csv"))
         (row,) = rows_of(table)
         assert row[2] is None
         assert row[4] == "none"
@@ -271,6 +276,21 @@ class TestMainEntry:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
+    def test_options_left_out_take_the_runconfig_defaults(self):
+        parse = build_parser().parse_args
+        given = {"--kl": ("kl", 2.5), "--grid-d": ("grid_d", 7), "--grid-b": ("grid_b", 9),
+                 "--sin-beta": ("sin_beta", -0.5), "--format": ("format", "json"),
+                 "--out": ("out", "t.csv"), "--tol-scale": ("tol_scale", 2.5)}
+        fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        assert {name for name, _ in given.values()} == fields.keys() - {"command"}
+        assert all(fields[name] != value for name, value in given.values())
+        for command in COMMANDS:
+            default = RunConfig(command)
+            assert RunConfig(**vars(parse([command]))) == default
+            for option, (name, value) in given.items():
+                got = RunConfig(**vars(parse([command, option, str(value)])))
+                assert got == dataclasses.replace(default, **{name: value})
+
 
 class TestRunConfigValidation:
     def test_defaults_are_valid(self):
@@ -353,7 +373,7 @@ def test_discord_optima_are_shared_within_one_run_only(monkeypatch):
 def test_a_run_that_raises_shares_no_optima_afterwards(monkeypatch):
     calls = count_optima(monkeypatch)
 
-    def failing(tol_scale):
+    def failing():
         raise RuntimeError("suite failed")
 
     monkeypatch.setattr(verify, "ALL_SUITES", (verify.suite_discord_oracle, failing))
@@ -367,7 +387,7 @@ def test_a_run_that_raises_shares_no_optima_afterwards(monkeypatch):
 
 @pytest.mark.parametrize("suite", verify.ALL_SUITES, ids=lambda s: s.__name__)
 def test_each_verify_suite_passes_within_its_tolerance(suite):
-    result = suite(tol_scale=1.0)
+    result = suite()
     assert result.passed
     assert result.max_deviation <= result.tolerance
 
@@ -375,3 +395,14 @@ def test_each_verify_suite_passes_within_its_tolerance(suite):
 def test_the_verify_suites_have_eighteen_distinct_names():
     assert len({suite.__name__ for suite in verify.ALL_SUITES}) == 18
     assert len({result.name for result in verify.run_all()}) == 18
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0, 2.5])
+def test_run_all_scales_each_suite_tolerance(scale):
+    own = [suite() for suite in verify.ALL_SUITES]
+    results = verify.run_all(scale)
+    assert [r.name for r in results] == [r.name for r in own]
+    for r, suite_result in zip(results, own):
+        assert r.tolerance.hex() == (suite_result.tolerance * scale).hex()
+        assert r.max_deviation.hex() == suite_result.max_deviation.hex()
+        assert r.passed == (r.max_deviation <= r.tolerance)

@@ -175,15 +175,17 @@ def test_a_failed_write_to_stdout_exits_three(monkeypatch, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
-@pytest.mark.parametrize("argv", [["fig3", "--grid-d", "5"], ["transition"],
-                                  ["transition", "--out", "FILE"], ["verify"]],
-                         ids=["fig3", "transition", "transition-out", "verify"])
-def test_a_full_stdout_exits_three_without_a_traceback(argv, tmp_path):
+@pytest.mark.parametrize("argv, launcher", [
+    (["fig3", "--grid-d", "5"], ()), (["transition"], ()), (["transition", "--out", "FILE"], ()),
+    (["verify"], ()), (["--help"], ()), (["--help"], ("env", "PYTHONUNBUFFERED=1")),
+], ids=["fig3", "transition", "transition-out", "verify", "help", "help-unbuffered"])
+def test_a_full_stdout_exits_three_without_a_traceback(argv, launcher, tmp_path):
     # buffered, report lines and small tables reach the device only at a
-    # flush; a flush left to the interpreter's exit fails with status 120
+    # flush; a flush left to the interpreter's exit fails with status 120.
+    # Unbuffered, argparse's own print_help would drop the failed write and exit 0
     argv = [str(tmp_path / "table.csv") if arg == "FILE" else arg for arg in argv]
     with open("/dev/full", "wb") as full:
-        proc = run_cli(argv, stdout=full)
+        proc = run_cli(argv, launcher=launcher, stdout=full)
     err = proc.stderr.decode()
     assert proc.returncode == EXIT_IO, err
     assert "cannot write standard output" in err
