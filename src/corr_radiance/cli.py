@@ -141,12 +141,32 @@ def _csv_floats(values: np.ndarray) -> list[str]:
     return tokens
 
 
+def _repr_layout(token: str) -> str:
+    """A CSV token with no ``.`` or with an exponent, laid out as ``repr``
+    lays out a float: ``.0`` on an integer, an exponent of 12 to 15 written
+    out (``1.5e+12`` -> ``1500000000000.0``), any other exponent kept."""
+    mantissa, e, exponent = token.partition("e")
+    if not e:
+        return token + ".0"
+    if not 12 <= int(exponent) <= 15:
+        return token
+    sign = "-" if mantissa.startswith("-") else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    return sign + digits.ljust(int(exponent) + 1, "0") + ".0"
+
+
 def _json_floats(values: np.ndarray) -> list[str]:
-    # round through the CSV formatting so both formats agree digit for digit;
-    # json.dumps writes a finite float as its repr
-    tokens = list(map(repr, map(float, map("{:.12g}".format, values.tolist()))))
+    # the CSV token in repr's layout, so both formats agree digit for digit.
+    # json.dumps writes a finite float as its repr, and for a normal double
+    # that repr has the token's digits: the doubles nearest two decimals of at
+    # most 15 digits differ, so no shorter decimal reads back as the same one
+    tokens = [t if "." in t and "e" not in t else _repr_layout(t)
+              for t in _csv_floats(values)]
     for i in np.flatnonzero(~np.isfinite(values)):
         tokens[i] = "null" if np.isnan(values[i]) else json.dumps(float(values[i]))
+    # a subnormal holds fewer digits: its 12 can read back shorter (5e-324)
+    for i in np.flatnonzero((values != 0.0) & (np.abs(values) < sys.float_info.min)):
+        tokens[i] = repr(float(tokens[i]))
     return tokens
 
 
@@ -413,8 +433,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; this front end reserves 2 for
     # verification failures, so route usage errors to exit code 1
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        _print_error(f"{self.format_usage()}{self.prog}: error: {message}")
         raise SystemExit(EXIT_USAGE)
 
     # argparse's own print_help drops an OSError of the write; main reports it
@@ -446,11 +465,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _drop_stdout() -> None:
-    """Point standard output at the null device, so that the flush at exit
-    drops what its buffer still holds instead of failing again."""
+def _drop(stream) -> None:
+    """Point ``stream`` at the null device, so that the flush at exit drops
+    what its buffer still holds instead of failing again."""
     with open(os.devnull, "wb") as null, contextlib.suppress(OSError, ValueError):
-        os.dup2(null.fileno(), sys.stdout.fileno())  # skipped without a file descriptor
+        os.dup2(null.fileno(), stream.fileno())  # skipped without a file descriptor
+
+
+def _print_error(message: str) -> None:
+    """The one writer of standard error: a message that cannot be written is
+    dropped, so the exit status is the one the error calls for."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        _drop(sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -468,7 +496,7 @@ def main(argv=None) -> int:
         try:
             cfg.validate()
         except ValueError as exc:
-            print(f"corr-radiance: error: {exc}", file=sys.stderr)
+            _print_error(f"corr-radiance: error: {exc}")
             return EXIT_USAGE
 
         # looked up by name on every call, so a patched cmd_* attribute is the one run
@@ -485,8 +513,8 @@ def main(argv=None) -> int:
             _write_file(table, cfg, cfg.out)
     except OSError as exc:
         if where == "standard output":
-            _drop_stdout()
-        print(f"corr-radiance: error: cannot write {where}: {exc}", file=sys.stderr)
+            _drop(sys.stdout)
+        _print_error(f"corr-radiance: error: cannot write {where}: {exc}")
         return EXIT_IO
     return status
 

@@ -1,7 +1,7 @@
 """Property tests at random inputs: each closed form against its operator-trace
 oracle, the stacked oracles against one-state calls, the discord inversion
 against the discord curve, and the JSON table against the CSV table it must
-read back as."""
+read back as, token by token."""
 
 import json
 import math
@@ -12,7 +12,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from corr_radiance.cli import MAX_KL, RunConfig, cmd_fig4, cmd_fig5, render_csv, render_json
+from corr_radiance.cli import (
+    MAX_KL,
+    RunConfig,
+    _json_floats,
+    cmd_fig4,
+    cmd_fig5,
+    render_csv,
+    render_json,
+)
 from corr_radiance.correlations import discord_to_c, discord_werner_closed
 from corr_radiance.emission import (
     UNDEFINED_INTENSITY_TOL,
@@ -218,3 +226,39 @@ def test_json_values_read_back_as_the_csv_cells(command, kl, sin_beta, grid_d, g
                 assert cell == ""
             else:
                 assert isinstance(value, float) and value == float(cell)
+
+
+def read_back(x: float) -> str:
+    """The JSON token of ``x`` as the float its CSV cell reads back as."""
+    if math.isnan(x):
+        return "null"
+    if math.isinf(x):
+        return json.dumps(x)
+    return repr(float(format(x, ".12g")))
+
+
+# raw float64 bit patterns, and hypothesis's floats for its own edge values
+any_float = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, np.uint64).view(np.float64))),
+    st.floats(),
+)
+
+FORMATTER_EDGES = [
+    0.0, -0.0, 5e-324, 1e-310, sys.float_info.min, math.nextafter(sys.float_info.min, 0.0),
+    999999999999.5, 1e12, 1.5e12, 9.99999999999e15, 1e16, -2.0000000000001, 1e-5,
+]
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(values=st.lists(any_float, min_size=1, max_size=64))
+@example(values=FORMATTER_EDGES + [-x for x in FORMATTER_EDGES if x])
+def test_json_tokens_are_the_csv_cells_read_back(values):
+    """Each JSON token is the CSV token in repr's layout, made without reading
+    it back. None of the 32 pinned tables has a cell with an exponent of 12
+    to 15 or a subnormal one, so this test, with its edge values, is the only
+    gate on those branches of the formatter."""
+    assert _json_floats(np.array(values)) == list(map(read_back, values))
+
+
+def test_json_writes_infinities_as_json_dumps_does():
+    assert _json_floats(np.array([math.inf, -math.inf, math.nan])) == ["Infinity", "-Infinity", "null"]

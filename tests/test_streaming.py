@@ -27,6 +27,7 @@ from corr_radiance.cli import (
     _BLOCK_ROWS,
     EXIT_IO,
     EXIT_OK,
+    EXIT_USAGE,
     Labels,
     RunConfig,
     Table,
@@ -142,7 +143,8 @@ FIG5_CSV_25001 = "aca3be2b7b85841d08a4c080cc35090637517a727f2c2fdd9c28679e020004
 CLI = "import sys; from corr_radiance.cli import main; sys.exit(main())"
 
 
-def run_cli(argv, launcher=(), stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def run_cli(argv, launcher=(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) -> subprocess.CompletedProcess:
     """Run ``corr-radiance argv`` as a child process importing this package,
     through ``launcher`` (the start of a command line) if given.  The child
     buffers its standard output as a user's process does: PYTHONUNBUFFERED
@@ -150,7 +152,7 @@ def run_cli(argv, launcher=(), stdout=subprocess.PIPE) -> subprocess.CompletedPr
     env = dict(os.environ, PYTHONPATH=str(Path(corr_radiance.__file__).parent.parent))
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([*launcher, sys.executable, "-c", CLI, *argv], env=env,
-                          stdout=stdout, stderr=subprocess.PIPE, timeout=300)
+                          stdout=stdout, stderr=stderr, timeout=300)
 
 
 def test_stdout_in_process_matches_the_pinned_hash(capsys):
@@ -190,6 +192,39 @@ def test_a_full_stdout_exits_three_without_a_traceback(argv, launcher, tmp_path)
     assert proc.returncode == EXIT_IO, err
     assert "cannot write standard output" in err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# a usage error exits 1 and an output failure 3, whether or not the error
+# line reaches standard error; MISSING is a path in a directory that is not there
+STDERR_CASES = [(["fig2", "--kl", "0"], EXIT_USAGE), (["fig2", "--bogus"], EXIT_USAGE),
+                (["fig2", "--out", "MISSING"], EXIT_IO)]
+STDERR_IDS = ["kl", "bogus", "out-missing"]
+
+
+def missing_path(argv, tmp_path):
+    return [str(tmp_path / "missing" / "t") if arg == "MISSING" else arg for arg in argv]
+
+
+@pytest.mark.parametrize("argv, code", STDERR_CASES, ids=STDERR_IDS)
+def test_a_failed_write_to_stderr_keeps_the_exit_code(argv, code, tmp_path, monkeypatch, capsys):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stderr", Full())
+    assert main(missing_path(argv, tmp_path)) == code
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("launcher", [(), ("env", "PYTHONUNBUFFERED=1")],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, code", STDERR_CASES, ids=STDERR_IDS)
+def test_a_full_stderr_keeps_the_exit_code(argv, code, launcher, tmp_path):
+    with open("/dev/full", "wb") as full:
+        proc = run_cli(missing_path(argv, tmp_path), launcher=launcher, stderr=full)
+    assert proc.returncode == code
+    assert proc.stdout == b""
 
 
 def test_the_largest_plane_table_is_built_and_rendered_block_by_block():
