@@ -514,7 +514,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         if where == "standard output":
             _drop(sys.stdout)
-        _print_error(f"corr-radiance: error: cannot write {where}: {exc}")
+        # the OS reason alone: the exception may name the temporary file
+        _print_error(f"corr-radiance: error: cannot write {where}: {exc.strerror or exc}")
         return EXIT_IO
     return status
 

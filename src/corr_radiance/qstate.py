@@ -9,7 +9,7 @@ factor.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +111,21 @@ class DensityCheck:
     passed: bool | np.ndarray
 
 
+# members per chunk of a stack scan (state validation, excitation, the discord
+# grid scan): a chunk of 4x4 complex matrices and each temporary made from it
+# stay within 64 KiB, below glibc's default 128 KiB mmap threshold.  A freed
+# larger block raises that threshold, and later temporaries then stay resident
+# on the heap; a block at the threshold is mapped and faulted in afresh on
+# every call
+_SCAN_CHUNK = 256
+
+
+def _chunks(k: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_SCAN_CHUNK`` members that cover a
+    stack of ``k``."""
+    return (slice(start, start + _SCAN_CHUNK) for start in range(0, k, _SCAN_CHUNK))
+
+
 def validate_density(mat: CMatrix) -> DensityCheck:
     """Check unit trace, Hermiticity, and positivity of square matrices.
 
@@ -118,9 +133,9 @@ def validate_density(mat: CMatrix) -> DensityCheck:
     ----------
     mat : array_like
         One square complex matrix, shape (n, n), or a stack of them, shape
-        (k, n, n).  A stack takes one trace, one Hermiticity test and one
-        batched ``eigvalsh``; each member's result equals that of validating
-        it alone.
+        (k, n, n).  A stack is checked in chunks of ``_SCAN_CHUNK`` members,
+        each by one trace, one Hermiticity test and one batched ``eigvalsh``;
+        each member's result equals that of validating it alone.
 
     Returns
     -------
@@ -135,19 +150,9 @@ def validate_density(mat: CMatrix) -> DensityCheck:
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     stack = a if a.ndim == 3 else a[np.newaxis]
-    excess = np.trace(stack, axis1=-2, axis2=-1) - 1.0
-    # libm hypot, as abs() of one complex scalar; np.abs rounds some complex
-    # moduli differently in the last ulp
-    trace_dev = np.hypot(excess.real, excess.imag)
-    # one scratch stack holds mat - mat†, then (mat + mat†)/2, so a large
-    # stack costs one copy of itself on top
-    work = np.conjugate(stack.swapaxes(-1, -2))
-    np.subtract(stack, work, out=work)
-    herm_dev = np.abs(work).max(axis=(-2, -1))
-    np.conjugate(stack.swapaxes(-1, -2), out=work)
-    np.add(stack, work, out=work)
-    work /= 2.0
-    min_eig = np.linalg.eigvalsh(work).min(axis=-1)
+    trace_dev, herm_dev, min_eig = (np.empty(len(stack)) for _ in range(3))
+    for part in _chunks(len(stack)):
+        _check_chunk(stack[part], trace_dev[part], herm_dev[part], min_eig[part])
     passed = (
         (trace_dev <= TRACE_TOL)
         & (herm_dev <= HERMITICITY_TOL)
@@ -156,6 +161,24 @@ def validate_density(mat: CMatrix) -> DensityCheck:
     if a.ndim == 2:
         return DensityCheck(float(trace_dev[0]), float(herm_dev[0]), float(min_eig[0]), bool(passed[0]))
     return DensityCheck(trace_dev, herm_dev, min_eig, passed)
+
+
+def _check_chunk(stack: np.ndarray, trace_dev: np.ndarray, herm_dev: np.ndarray,
+                 min_eig: np.ndarray) -> None:
+    """Write the trace deviation, Hermiticity deviation and minimum eigenvalue
+    of each member of a (k, n, n) complex stack into the length-k outputs."""
+    excess = np.trace(stack, axis1=-2, axis2=-1) - 1.0
+    # libm hypot, as abs() of one complex scalar; np.abs rounds some complex
+    # moduli differently in the last ulp
+    np.hypot(excess.real, excess.imag, out=trace_dev)
+    # one scratch stack holds mat - mat†, then (mat + mat†)/2
+    work = np.conjugate(stack.swapaxes(-1, -2))
+    np.subtract(stack, work, out=work)
+    np.abs(work).max(axis=(-2, -1), out=herm_dev)
+    np.conjugate(stack.swapaxes(-1, -2), out=work)
+    np.add(stack, work, out=work)
+    work /= 2.0
+    np.linalg.eigvalsh(work).min(axis=-1, out=min_eig)
 
 
 def _frozen_valid(a: np.ndarray) -> np.ndarray:
@@ -320,11 +343,15 @@ _NUMBER_OP = np.kron(_EXCITED_PROJ, ID2) + np.kron(ID2, _EXCITED_PROJ)
 
 def excitation_probabilities(stack) -> np.ndarray:
     """Expected number of excited atoms, tr[(P_e x I + I x P_e) rho], of each
-    state in a (k, 4, 4) stack, in one batched product."""
+    state in a (k, 4, 4) stack, by one batched product per chunk of
+    ``_SCAN_CHUNK`` states."""
     s = np.asarray(stack)
     if s.ndim != 3 or s.shape[1:] != (4, 4):
         raise ValueError(f"excitation probability needs two-atom (4x4) states, got shape {s.shape}")
-    return np.trace(_NUMBER_OP @ s, axis1=1, axis2=2).real
+    probs = np.empty(len(s))
+    for part in _chunks(len(s)):
+        probs[part] = np.trace(_NUMBER_OP @ s[part], axis1=1, axis2=2).real
+    return probs
 
 
 def excitation_probability(rho: DensityMatrix) -> float:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ginibre import GINIBRE_PAIRS
 from .correlations import (
     DiscordResult,
     concurrence_closed,
@@ -130,11 +131,10 @@ def suite_lowering_algebra() -> SuiteResult:
 
 
 def suite_entropy_unitary_invariance() -> SuiteResult:
-    rng = np.random.default_rng(20240817)
     states = [make_werner(0.3).mat, make_x_state(XStateParams(0.5, 0.5, -0.5)).mat]
     dev = 0.0
-    for _ in range(20):
-        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    for real, imag in np.array(GINIBRE_PAIRS):
+        z = real + 1j * imag
         q, r = np.linalg.qr(z)
         u = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
         for mat in states:

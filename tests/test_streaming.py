@@ -173,7 +173,15 @@ def test_a_failed_write_to_stdout_exits_three(monkeypatch, capsys):
 
     monkeypatch.setattr(sys, "stdout", Closed())
     assert main(["fig3", "--grid-d", "3"]) == EXIT_IO
-    assert "cannot write standard output: [Errno 32] Broken pipe" in capsys.readouterr().err
+    assert capsys.readouterr().err == "corr-radiance: error: cannot write standard output: Broken pipe\n"
+
+
+def test_out_into_a_missing_directory_names_only_the_path(tmp_path):
+    # the exception names the random temporary file beside the target
+    target = str(tmp_path / "nodir" / "x")
+    proc = run_cli(["fig3", "--grid-d", "3", "--out", target])
+    assert proc.returncode == EXIT_IO
+    assert proc.stderr.decode() == f"corr-radiance: error: cannot write {target!r}: No such file or directory\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
