@@ -21,7 +21,6 @@ from .qstate import (
     ID2,
     PAULI_Y,
     DensityMatrix,
-    _chunks,
     partial_trace,
     von_neumann_entropy,
 )
@@ -112,6 +111,8 @@ def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.nd
     return total
 
 
+# measurement directions per _conditional_entropy call in the grid scan
+_SCAN_CHUNK = 512
 # discord_numeric scans a DISCORD_GRID x DISCORD_GRID grid of Bloch angles;
 # its pattern search stops once a sweep gains less than DISCORD_TOL, and
 # reports unconverged after DISCORD_MAX_DEPTH sweeps
@@ -153,11 +154,10 @@ def discord_numeric(rho: DensityMatrix, measured: int = 2) -> DiscordResult:
     # theta-major layout so the first minimum is the lexicographically lowest
     tt, pp = np.meshgrid(theta_axis, phi_axis, indexing="ij")
     thetas, phis = tt.ravel(), pp.ravel()
-    # chunked as state stacks are, so each (n, 4, 4) complex temporary stays
-    # below glibc's mmap threshold; rows do not depend on the chunking
+    # chunked to bound the complex temporaries; rows do not depend on the chunking
     values = np.concatenate([
-        _conditional_entropy(rho4, measured, thetas[part], phis[part])
-        for part in _chunks(thetas.size)
+        _conditional_entropy(rho4, measured, thetas[i:i + _SCAN_CHUNK], phis[i:i + _SCAN_CHUNK])
+        for i in range(0, thetas.size, _SCAN_CHUNK)
     ])
     best = int(np.argmin(values))
     best_f = float(values[best])

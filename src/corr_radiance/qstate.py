@@ -111,19 +111,19 @@ class DensityCheck:
     passed: bool | np.ndarray
 
 
-# members per chunk of a stack scan (state validation, excitation, the discord
-# grid scan): a chunk of 4x4 complex matrices and each temporary made from it
-# stay within 64 KiB, below glibc's default 128 KiB mmap threshold.  A freed
-# larger block raises that threshold, and later temporaries then stay resident
-# on the heap; a block at the threshold is mapped and faulted in afresh on
-# every call
-_SCAN_CHUNK = 256
+# members per chunk of a state-stack scan (validation, excitation): a chunk of
+# 4x4 complex matrices and each temporary made from it stay within 256 KiB.
+# glibc raises its mmap threshold to the largest block freed so far and trims
+# a heap top of twice that; a whole 3,101-state stack left about 1.2 MB of
+# resident heap, and a chunk of 256 left the threshold so low that each
+# 128 KiB temporary of the discord scan was faulted in afresh
+_STACK_CHUNK = 1024
 
 
 def _chunks(k: int) -> Iterator[slice]:
-    """Consecutive slices of at most ``_SCAN_CHUNK`` members that cover a
+    """Consecutive slices of at most ``_STACK_CHUNK`` members that cover a
     stack of ``k``."""
-    return (slice(start, start + _SCAN_CHUNK) for start in range(0, k, _SCAN_CHUNK))
+    return (slice(start, start + _STACK_CHUNK) for start in range(0, k, _STACK_CHUNK))
 
 
 def validate_density(mat: CMatrix) -> DensityCheck:
@@ -133,7 +133,7 @@ def validate_density(mat: CMatrix) -> DensityCheck:
     ----------
     mat : array_like
         One square complex matrix, shape (n, n), or a stack of them, shape
-        (k, n, n).  A stack is checked in chunks of ``_SCAN_CHUNK`` members,
+        (k, n, n).  A stack is checked in chunks of ``_STACK_CHUNK`` members,
         each by one trace, one Hermiticity test and one batched ``eigvalsh``;
         each member's result equals that of validating it alone.
 
@@ -344,7 +344,7 @@ _NUMBER_OP = np.kron(_EXCITED_PROJ, ID2) + np.kron(ID2, _EXCITED_PROJ)
 def excitation_probabilities(stack) -> np.ndarray:
     """Expected number of excited atoms, tr[(P_e x I + I x P_e) rho], of each
     state in a (k, 4, 4) stack, by one batched product per chunk of
-    ``_SCAN_CHUNK`` states."""
+    ``_STACK_CHUNK`` states."""
     s = np.asarray(stack)
     if s.ndim != 3 or s.shape[1:] != (4, 4):
         raise ValueError(f"excitation probability needs two-atom (4x4) states, got shape {s.shape}")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corr_radiance import correlations, qstate, verify
+from corr_radiance import correlations, verify
 from corr_radiance.correlations import DiscordResult, _conditional_entropy, discord_numeric
 from corr_radiance.qstate import (
     ID2,
@@ -123,7 +123,7 @@ def test_the_cases_reach_every_batch_size(monkeypatch):
     monkeypatch.setattr(correlations, "_conditional_entropy", recording)
     for params in (XStateParams(-0.6, -0.6, -0.2), XStateParams(-1.0, -0.6, -0.6)):
         discord_numeric(make_x_state(params))
-    assert sizes == {1, 2, 3, 4, qstate._SCAN_CHUNK}
+    assert sizes == {1, 2, 3, 4, 512}
 
 
 @st.composite

@@ -1,10 +1,10 @@
-"""Stack scans run in chunks of ``qstate._SCAN_CHUNK`` members.
+"""Stack scans run in chunks of ``qstate._STACK_CHUNK`` members.
 
 ``validate_density`` and ``excitation_probabilities`` take a (k, 4, 4) stack
-256 states at a time, so that no temporary reaches glibc's 128 KiB mmap
-threshold.  The chunks must not show: at every chunk edge each member's
-fields equal those of checking it alone, bit for bit, and a failure names
-the index of its member in the whole stack.
+1,024 states at a time, so that each temporary stays within 256 KiB.  The
+chunks must not show: at every chunk edge each member's fields equal those
+of checking it alone, bit for bit, and a failure names the index of its
+member in the whole stack.
 """
 
 import numpy as np
@@ -24,9 +24,9 @@ def chunk_edge_stack(k):
     return stack
 
 
-@pytest.mark.parametrize("k", [0, 1, 255, 256, 257, GRID_SIZE])
+@pytest.mark.parametrize("k", [0, 1, 255, 256, 257, 1023, 1024, 1025, GRID_SIZE])
 def test_every_chunk_gives_each_member_its_own_result(k):
-    assert qstate._SCAN_CHUNK == 256
+    assert qstate._STACK_CHUNK == 1024
     stack = chunk_edge_stack(k)
     stacked = validate_density(stack)
     singles = [validate_density(mat) for mat in stack]
@@ -39,14 +39,14 @@ def test_every_chunk_gives_each_member_its_own_result(k):
     assert stacked.passed.tolist() == [i % 3 != 0 for i in range(k)]
 
 
-@pytest.mark.parametrize("k", [0, 1, 255, 256, 257, GRID_SIZE])
+@pytest.mark.parametrize("k", [0, 1, 1023, 1024, 1025, GRID_SIZE])
 def test_chunked_excitation_equals_one_batched_product(k):
     stack = chunk_edge_stack(k)
     whole = np.trace(qstate._NUMBER_OP @ stack, axis1=1, axis2=2).real
     assert bits(qstate.excitation_probabilities(stack)) == bits(whole)
 
 
-@pytest.mark.parametrize("bad", [256, 700, GRID_SIZE - 2])
+@pytest.mark.parametrize("bad", [1024, 2500, GRID_SIZE - 2])
 def test_the_first_bad_member_of_a_later_chunk_is_named(bad):
     stack = verify._x_state_grid().copy()
     stack[bad] = np.diag([0.6, 0.5, 0.0, -0.1])
