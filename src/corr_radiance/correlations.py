@@ -21,8 +21,8 @@ from .qstate import (
     ID2,
     PAULI_Y,
     DensityMatrix,
-    partial_trace,
-    von_neumann_entropy,
+    eigenvalue_entropy,
+    partial_traces,
 )
 
 # snap window for the separability threshold c = 1/3
@@ -73,16 +73,11 @@ def _embed_projectors(projs: np.ndarray, measured: int) -> np.ndarray:
     return out
 
 
-def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.ndarray:
-    """Average post-measurement entropy of the unmeasured atom.
-
-    Vectorized over a batch of measurement directions: for each (theta, phi)
-    the Bloch projector is embedded, the state conjugated, the measured atom
-    traced out, and the branch entropies weighted by the branch probability.
-    Every step acts on each direction alone, so a direction's value does not
-    depend on the rest of the batch, bit for bit; ``discord_numeric`` relies
-    on that when it batches its scan and its pattern search.
-    """
+def _measurements(measured: int, thetas, phis) -> tuple[np.ndarray, np.ndarray]:
+    """The two branches of the projective measurement of atom ``measured``
+    along each Bloch direction (theta, phi): the projector P onto the
+    direction and I - P, each embedded in the two-atom space as an (n, 4, 4)
+    stack."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     kets = np.stack(
@@ -90,9 +85,21 @@ def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.nd
         axis=-1,
     )
     projs = kets[:, :, None] * kets.conj()[:, None, :]
-    total = np.zeros(len(thetas))
-    for branch in (projs, ID2[None, :, :] - projs):
-        m = _embed_projectors(branch, measured)
+    return _embed_projectors(projs, measured), _embed_projectors(ID2[None, :, :] - projs, measured)
+
+
+def _average_entropy(measurements: tuple[np.ndarray, np.ndarray], rho4: np.ndarray,
+                     measured: int) -> np.ndarray:
+    """Average post-measurement entropy of the unmeasured atom, one value per
+    direction of ``measurements`` (from ``_measurements``).
+
+    ``rho4`` is one (4, 4) state, shared by every direction, or an (n, 4, 4)
+    stack with one state per direction.  Each branch conjugates the state,
+    traces out the measured atom and weights the branch entropy by the branch
+    probability.
+    """
+    total = np.zeros(len(measurements[0]))
+    for m in measurements:
         sub = m @ rho4 @ m
         r = sub.reshape(-1, 2, 2, 2, 2)
         reduced = np.einsum("nabac->nbc", r) if measured == 1 else np.einsum("nabcb->nac", r)
@@ -111,7 +118,20 @@ def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.nd
     return total
 
 
-# measurement directions per _conditional_entropy call in the grid scan
+def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.ndarray:
+    """Average post-measurement entropy of the unmeasured atom.
+
+    Vectorized over a batch of measurement directions (theta, phi), for one
+    (4, 4) state or an (n, 4, 4) stack with one state per direction.  Every
+    step acts on each row alone, with the conjugation ``m @ rho4 @ m`` a
+    batched product per row, so a row's value does not depend on the rest of
+    the batch, bit for bit; ``discord_numerics`` relies on that when it
+    batches its scan and the pattern searches of all its members.
+    """
+    return _average_entropy(_measurements(measured, thetas, phis), rho4, measured)
+
+
+# measurement directions per _measurements call in the grid scan
 _SCAN_CHUNK = 512
 # discord_numeric scans a DISCORD_GRID x DISCORD_GRID grid of Bloch angles;
 # its pattern search stops once a sweep gains less than DISCORD_TOL, and
@@ -133,7 +153,8 @@ def discord_numeric(rho: DensityMatrix, measured: int = 2) -> DiscordResult:
     (grid = ``DISCORD_GRID``) over the measurement Bloch angles (theta, phi)
     followed by pattern search with step halving; it stops once a sweep
     improves the objective by less than ``DISCORD_TOL``.  Grid ties resolve
-    to the lowest (theta, phi) in lexicographic order.
+    to the lowest (theta, phi) in lexicographic order.  This is
+    ``discord_numerics`` of the stack of one.
 
     Returns
     -------
@@ -141,30 +162,68 @@ def discord_numeric(rho: DensityMatrix, measured: int = 2) -> DiscordResult:
         ``converged`` is False if the ``DISCORD_MAX_DEPTH`` sweeps ran out
         before the improvement dropped below ``DISCORD_TOL``.
     """
-    if measured not in (1, 2):
-        raise ValueError(f"measured atom must be 1 or 2, got {measured}")
     if rho.dim != 4:
         raise ValueError("discord needs a two-atom (4x4) state")
-    rho4 = rho.mat
-    s_total = von_neumann_entropy(rho)
-    s_measured = von_neumann_entropy(partial_trace(rho, keep=measured))
+    return discord_numerics(rho.mat[np.newaxis], measured)[0]
+
+
+def discord_numerics(stack, measured: int = 2) -> list[DiscordResult]:
+    """``discord_numeric`` of each state of a (k, 4, 4) stack, such as
+    ``x_states`` returns, bit for bit: one ``DiscordResult`` per member.
+
+    The grid scan runs chunk by chunk, and each chunk's measurements are built
+    once for every member.  The members' pattern searches run in lockstep:
+    each round evaluates the pending moves of every unfinished member in one
+    ``_conditional_entropy`` call, one state per row, while each member keeps
+    its own step, best point, stop test and evaluation count.
+    """
+    if measured not in (1, 2):
+        raise ValueError(f"measured atom must be 1 or 2, got {measured}")
+    states = np.asarray(stack)
+    if states.ndim != 3 or states.shape[1:] != (4, 4):
+        raise ValueError(f"discord needs two-atom (4x4) states, got shape {states.shape}")
+    s_total = [eigenvalue_entropy(lam) for lam in np.linalg.eigvalsh(states)]
+    s_measured = [eigenvalue_entropy(lam) for lam in np.linalg.eigvalsh(partial_traces(states, measured))]
 
     theta_axis = np.linspace(0.0, math.pi, DISCORD_GRID)
     phi_axis = np.linspace(0.0, 2.0 * math.pi, DISCORD_GRID, endpoint=False)
     # theta-major layout so the first minimum is the lexicographically lowest
     tt, pp = np.meshgrid(theta_axis, phi_axis, indexing="ij")
     thetas, phis = tt.ravel(), pp.ravel()
-    # chunked to bound the complex temporaries; rows do not depend on the chunking
-    values = np.concatenate([
-        _conditional_entropy(rho4, measured, thetas[i:i + _SCAN_CHUNK], phis[i:i + _SCAN_CHUNK])
-        for i in range(0, thetas.size, _SCAN_CHUNK)
-    ])
-    best = int(np.argmin(values))
-    best_f = float(values[best])
-    best_t = float(thetas[best])
-    best_p = float(phis[best])
-    evaluations = DISCORD_GRID * DISCORD_GRID
+    # chunked to bound the complex temporaries; per member, the first chunk
+    # whose minimum is least holds the first minimum of the whole scan
+    starts = range(0, thetas.size, _SCAN_CHUNK)
+    chunk_min = np.empty((len(states), len(starts)))
+    chunk_arg = np.empty((len(states), len(starts)), dtype=np.intp)
+    for c, start in enumerate(starts):
+        part = slice(start, start + _SCAN_CHUNK)
+        measurements = _measurements(measured, thetas[part], phis[part])
+        for j, rho4 in enumerate(states):
+            values = _average_entropy(measurements, rho4, measured)
+            k = int(np.argmin(values))
+            chunk_min[j, c], chunk_arg[j, c] = values[k], start + k
+    members = np.arange(len(states))
+    first = np.argmin(chunk_min, axis=1)
+    best_fs, best = chunk_min[members, first], chunk_arg[members, first]
+    optima = _in_lockstep(
+        [_pattern_search(float(f), float(thetas[b]), float(phis[b])) for f, b in zip(best_fs, best)],
+        states,
+        measured,
+    )
+    return [
+        DiscordResult(s_m - s_t + best_f, angles, evaluations, converged)
+        for s_m, s_t, (best_f, angles, evaluations, converged) in zip(s_measured, s_total, optima)
+    ]
 
+
+def _pattern_search(best_f: float, best_t: float, best_p: float):
+    """One member's pattern search with step halving from its grid optimum.
+
+    A generator: it yields the angles ``(thetas, phis)`` of each batch of
+    moves, is sent their values, and returns ``(best_f, (best_t, best_p),
+    evaluations, converged)``.
+    """
+    evaluations = DISCORD_GRID * DISCORD_GRID
     step_t = math.pi / DISCORD_GRID
     step_p = 2.0 * math.pi / DISCORD_GRID
     converged = False
@@ -173,12 +232,12 @@ def discord_numeric(rho: DensityMatrix, measured: int = 2) -> DiscordResult:
         moves = ((step_t, 0.0), (-step_t, 0.0), (0.0, step_p), (0.0, -step_p))
         evaluations += len(moves)
         # Each move steps from the best point so far.  The moves left in the
-        # sweep are evaluated in one call; the first that improves is taken and
-        # the moves after it are evaluated again from the new point.
+        # sweep are evaluated in one batch; the first that improves is taken
+        # and the moves after it are evaluated again from the new point.
         while moves:
             ts = [min(max(best_t + dt, 0.0), math.pi) for dt, _ in moves]
             ps = [(best_p + dp) % (2.0 * math.pi) for _, dp in moves]
-            fs = _conditional_entropy(rho4, measured, ts, ps)
+            fs = yield ts, ps
             better = np.flatnonzero(fs < best_f)
             if better.size == 0:
                 break
@@ -196,9 +255,32 @@ def discord_numeric(rho: DensityMatrix, measured: int = 2) -> DiscordResult:
             if step_t < 1e-9:
                 converged = True
                 break
+    return best_f, (best_t, best_p), evaluations, converged
 
-    value = s_measured - s_total + best_f
-    return DiscordResult(value, (best_t, best_p), evaluations, converged)
+
+def _in_lockstep(searches: list, states: np.ndarray, measured: int) -> list:
+    """Run the ``_pattern_search`` generators of the members of ``states``
+    together and return what each one returns.  Each round sends every
+    unfinished search the values of the moves it yielded, all of them
+    computed by one ``_conditional_entropy`` call."""
+    results = [None] * len(searches)
+    pending = {j: next(search) for j, search in enumerate(searches)}
+    while pending:
+        members = list(pending)
+        sizes = [len(pending[j][0]) for j in members]
+        values = _conditional_entropy(
+            states[np.repeat(members, sizes)],
+            measured,
+            [t for j in members for t in pending[j][0]],
+            [p for j in members for p in pending[j][1]],
+        )
+        for j, fs in zip(members, np.split(values, np.cumsum(sizes)[:-1])):
+            try:
+                pending[j] = searches[j].send(fs)
+            except StopIteration as done:
+                results[j] = done.value
+                del pending[j]
+    return results
 
 
 def concurrence_closed(c: float) -> float:
@@ -215,15 +297,26 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     """Concurrence from the spin-flip construction.
 
     The eigenvalues l1 >= l2 >= l3 >= l4 of rho (YY) rho* (YY) give
-    C = max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)}.
+    C = max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)}.  This is
+    ``concurrences_wootters`` of the stack of one.
     """
     if rho.dim != 4:
         raise ValueError("concurrence needs a two-atom (4x4) state")
-    r = rho.mat
+    return float(concurrences_wootters(rho.mat[np.newaxis])[0])
+
+
+def concurrences_wootters(stack) -> np.ndarray:
+    """``concurrence_wootters`` of each state of a (k, 4, 4) stack, bit for
+    bit, by one batched product and one batched ``eigvals``."""
+    r = np.asarray(stack)
+    if r.ndim != 3 or r.shape[1:] != (4, 4):
+        raise ValueError(f"concurrence needs two-atom (4x4) states, got shape {r.shape}")
     flipped = _YY @ r.conj() @ _YY
-    lam = np.sort(np.clip(np.linalg.eigvals(r @ flipped).real, 0.0, None))[::-1]
+    lam = np.sort(np.clip(np.linalg.eigvals(r @ flipped).real, 0.0, None), axis=-1)[:, ::-1]
     roots = np.sqrt(lam)
-    return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
+    excess = roots[:, 0] - roots[:, 1] - roots[:, 2] - roots[:, 3]
+    # max(0.0, x) of each member: 0.0 unless x > 0.0
+    return np.where(excess > 0.0, excess, 0.0)
 
 
 # the top bisection levels of discord_to_c, whose midpoints every target shares

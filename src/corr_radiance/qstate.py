@@ -8,8 +8,7 @@ factor.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +85,19 @@ _BELL_EIGENVALUE_EXPRS = (
 )
 
 
+def valid_x_coefficients(step: float = 0.1) -> np.ndarray:
+    """All coefficient triples (cx, cy, cz) on a cubic grid that give a
+    physical state, by the eigenvalue test of ``XStateParams``, as the rows
+    of a (k, 3) array in lexicographic order.  Each coefficient lies in
+    [-1, 1] by construction."""
+    axis = np.array([round(-1.0 + k * step, 10) for k in range(int(round(2.0 / step)) + 1)])
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    return grid[np.min(_bell_eigenvalues(*grid.T), axis=0) >= BELL_EIGENVALUE_FLOOR]
+
+
 def valid_x_params(step: float = 0.1) -> list[XStateParams]:
-    """All coefficient triples on a cubic grid that give a physical state,
-    by the eigenvalue test of ``XStateParams``."""
-    axis = [round(-1.0 + k * step, 10) for k in range(int(round(2.0 / step)) + 1)]
-    return [
-        XStateParams(*c)
-        for c in itertools.product(axis, axis, axis)
-        if min(_bell_eigenvalues(*c)) >= BELL_EIGENVALUE_FLOOR
-    ]
+    """The rows of ``valid_x_coefficients(step)`` as ``XStateParams``."""
+    return [XStateParams(*c) for c in valid_x_coefficients(step).tolist()]
 
 
 @dataclass(frozen=True)
@@ -234,11 +237,15 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def _bell_diagonal(params: Sequence[XStateParams]) -> np.ndarray:
+def _bell_diagonal(coefficients) -> np.ndarray:
     """Unvalidated (k, 4, 4) stack of (I + cx XX + cy YY + cz ZZ)/4, one per
-    entry of ``params``, assembled literally: diagonal (1 +/- cz)/4, inner
-    anti-diagonal (cx + cy)/4, outer anti-diagonal (cx - cy)/4."""
-    cx, cy, cz = np.array([(p.cx, p.cy, p.cz) for p in params], dtype=float).reshape(-1, 3).T
+    row (cx, cy, cz) of the (k, 3) array-like ``coefficients``, assembled
+    literally: diagonal (1 +/- cz)/4, inner anti-diagonal (cx + cy)/4, outer
+    anti-diagonal (cx - cy)/4."""
+    c = np.asarray(coefficients, dtype=float)
+    if c.size and (c.ndim != 2 or c.shape[1] != 3):
+        raise ValueError(f"coefficients must be (k, 3) rows (cx, cy, cz), got shape {c.shape}")
+    cx, cy, cz = c.reshape(-1, 3).T
     mat = np.zeros((len(cx), 4, 4), dtype=complex)
     mat[:, 0, 0] = mat[:, 3, 3] = 1.0 + cz
     mat[:, 1, 1] = mat[:, 2, 2] = 1.0 - cz
@@ -248,15 +255,16 @@ def _bell_diagonal(params: Sequence[XStateParams]) -> np.ndarray:
     return mat
 
 
-def x_states(params: Sequence[XStateParams]) -> np.ndarray:
-    """Bell-diagonal states (I + cx XX + cy YY + cz ZZ)/4, one per entry of
-    ``params``, as one read-only (k, 4, 4) stack validated by one call."""
-    return _frozen_valid(_bell_diagonal(params))
+def x_states(coefficients) -> np.ndarray:
+    """Bell-diagonal states (I + cx XX + cy YY + cz ZZ)/4, one per row
+    (cx, cy, cz) of the (k, 3) array-like ``coefficients``, as one read-only
+    (k, 4, 4) stack validated by one call."""
+    return _frozen_valid(_bell_diagonal(coefficients))
 
 
 def make_x_state(params: XStateParams) -> DensityMatrix:
     """Bell-diagonal state (I + cx XX + cy YY + cz ZZ)/4; see ``x_states``."""
-    return DensityMatrix(_bell_diagonal([params])[0])
+    return DensityMatrix(_bell_diagonal([(params.cx, params.cy, params.cz)])[0])
 
 
 def make_werner(c: float) -> DensityMatrix:

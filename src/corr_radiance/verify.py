@@ -22,11 +22,16 @@ from ._ginibre import GINIBRE_PAIRS
 from .correlations import (
     DiscordResult,
     concurrence_closed,
-    concurrence_wootters,
-    discord_numeric,
+    concurrences_wootters,
+    discord_numerics,
     discord_to_c,
     discord_werner_closed,
 )
+
+# The one-state optimizer stays bound here, although the discord suites take
+# their optima as stacks: the benchmark's tracer (bench/tracing.py) wraps it
+# by this name.
+from .correlations import discord_numeric  # noqa: F401
 from .emission import (
     STATISTICS,
     DetectionGeometry,
@@ -44,7 +49,7 @@ from .qstate import (
     make_x_state,
     partial_traces,
     sigma_minus,
-    valid_x_params,
+    valid_x_coefficients,
     validate_density,
     von_neumann_entropy,
     x_states,
@@ -82,16 +87,16 @@ def _cos_phases(geoms: list[DetectionGeometry]) -> np.ndarray:
 
 @functools.cache
 def _x_state_grid() -> np.ndarray:
-    """The states of ``valid_x_params()`` as one read-only stack from
+    """The states of ``valid_x_coefficients()`` as one read-only stack from
     ``x_states``, built once per process, on first use, and shared by the
     suites that sweep them."""
-    return x_states(valid_x_params())
+    return x_states(valid_x_coefficients())
 
 
 def _werner_stack(cs) -> np.ndarray:
     """The Werner states cx = cy = cz = -c of ``cs`` (each in [0, 1]) as one
     stack from ``x_states``."""
-    return x_states([XStateParams(-c, -c, -c) for c in cs])
+    return x_states([(-c, -c, -c) for c in cs])
 
 
 def suite_x_state_validity() -> SuiteResult:
@@ -157,37 +162,40 @@ def suite_discord_monotonicity() -> SuiteResult:
 _run_optima: ContextVar[dict | None] = ContextVar("_run_optima", default=None)
 
 
-def _werner_optimum(c: float, measured: int = 2) -> DiscordResult:
-    """``discord_numeric`` of the Werner state c, computed once per
-    ``run_all`` call and shared by the discord suites of that call."""
+def _werner_optima(cs, measured: int) -> list[DiscordResult]:
+    """The numeric discord optima of the Werner states ``cs`` with atom
+    ``measured`` measured.  Inside ``run_all`` each optimum is computed once
+    and shared by the discord suites of that call; the ones not yet computed
+    are computed together, in one ``discord_numerics`` call."""
     optima = _run_optima.get()
     if optima is None:
-        return discord_numeric(make_werner(c), measured=measured)
-    key = (c, measured)
-    if key not in optima:
-        optima[key] = discord_numeric(make_werner(c), measured=measured)
-    return optima[key]
+        optima = {}
+    missing = [c for c in cs if (c, measured) not in optima]
+    if missing:
+        found = discord_numerics(_werner_stack(missing), measured)
+        optima.update(((c, measured), result) for c, result in zip(missing, found))
+    return [optima[c, measured] for c in cs]
 
 
 def suite_discord_oracle() -> SuiteResult:
+    cs = _werner_grid(0.1)
     dev = 0.0
-    for c in _werner_grid(0.1):
-        numeric = _werner_optimum(c)
+    for c, numeric in zip(cs, _werner_optima(cs, 2)):
         closed = discord_werner_closed(c)
         dev = max(dev, abs(numeric.value - closed) if numeric.converged else math.inf)
     return _result("discord optimizer matches closed form", dev, 1e-4)
 
 
 def suite_discord_symmetry() -> SuiteResult:
+    cs = (0.3, 0.9)
     dev = 0.0
-    for c in (0.3, 0.9):
-        one, two = _werner_optimum(c, measured=1), _werner_optimum(c, measured=2)
+    for one, two in zip(_werner_optima(cs, 1), _werner_optima(cs, 2)):
         dev = max(dev, abs(one.value - two.value) if one.converged and two.converged else math.inf)
     return _result("discord independent of measured atom", dev, 2e-4)
 
 
 def suite_discord_zero_at_classical() -> SuiteResult:
-    numeric = _werner_optimum(0.0)
+    (numeric,) = _werner_optima((0.0,), 2)
     dev = abs(numeric.value) if numeric.converged else math.inf
     return _result("zero discord for the uncorrelated state", dev, 1e-8)
 
@@ -200,19 +208,19 @@ def suite_discord_round_trip() -> SuiteResult:
 
 
 def suite_concurrence_oracle() -> SuiteResult:
-    dev = 0.0
-    for c in _werner_grid(0.05):
-        dev = max(dev, abs(concurrence_wootters(make_werner(c)) - concurrence_closed(c)))
+    cs = _werner_grid(0.05)
+    flipped = concurrences_wootters(_werner_stack(cs))
+    dev = max(abs(numeric - concurrence_closed(c)) for c, numeric in zip(cs, flipped.tolist()))
     return _result("spin-flip concurrence matches closed form", dev, 1e-10)
 
 
 def suite_intensity_oracle() -> SuiteResult:
-    params = valid_x_params(step=0.4)
+    coefficients = valid_x_coefficients(step=0.4)
     geoms = _geometry_grid(7)
-    assert len(params) * len(geoms) >= 1000
-    stack = x_states(params)
+    assert len(coefficients) * len(geoms) >= 1000
+    stack = x_states(coefficients)
     oracle = np.stack([intensity_oracle(stack, geom) for geom in geoms], axis=1)
-    half_sums = np.array([0.5 * (p.cx + p.cy) for p in params])
+    half_sums = 0.5 * (coefficients[:, 0] + coefficients[:, 1])
     dev = float(np.max(np.abs(oracle - x_intensity(half_sums[:, None], _cos_phases(geoms)))))
     return _result("intensity trace matches closed form", dev, 1e-12)
 
@@ -315,7 +323,8 @@ def run_all(tol_scale: float = 1.0) -> list[SuiteResult]:
     healthy iff all of them pass.
 
     The discord suites share each Werner optimum they have in common, within
-    this call only.
+    this call only, and compute the ones they miss in one stacked call: two
+    optimizer calls in all, one per measured atom.
     """
     token = _run_optima.set({})
     try:

@@ -36,7 +36,7 @@ from corr_radiance.qstate import (
     partial_trace,
     validate_density,
 )
-from corr_radiance.verify import valid_x_params
+from corr_radiance.qstate import valid_x_params
 
 PI = math.pi
 _MODULE_T0 = time.perf_counter()

@@ -336,10 +336,10 @@ DISCORD_SUITES = (
 
 @pytest.mark.parametrize("suite", DISCORD_SUITES)
 def test_unconverged_discord_optimum_fails_the_suite(suite, monkeypatch):
-    real = verify.discord_numeric
+    real = verify.discord_numerics
     monkeypatch.setattr(
-        verify, "discord_numeric",
-        lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), converged=False),
+        verify, "discord_numerics",
+        lambda *args, **kwargs: [dataclasses.replace(r, converged=False) for r in real(*args, **kwargs)],
     )
     result = suite()
     assert not result.passed
@@ -347,27 +347,29 @@ def test_unconverged_discord_optimum_fails_the_suite(suite, monkeypatch):
 
 
 def count_optima(monkeypatch) -> list:
+    """The member count of each stacked optimizer call in ``verify``."""
     calls = []
-    real = verify.discord_numeric
+    real = verify.discord_numerics
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(stack, measured):
+        calls.append(len(stack))
+        return real(stack, measured)
 
-    monkeypatch.setattr(verify, "discord_numeric", counted)
+    monkeypatch.setattr(verify, "discord_numerics", counted)
     return calls
 
 
 def test_discord_optima_are_shared_within_one_run_only(monkeypatch):
     calls = count_optima(monkeypatch)
     # of the suites' 16 optima, c = 0 and the measured-2 ones at c = 0.3 and
-    # 0.9 are the oracle suite's own
+    # 0.9 are the oracle suite's own; the 11 measured-2 optima take one call
+    # and the 2 measured-1 ones another
     assert all(r.passed for r in verify.run_all())
-    assert len(calls) == 13
+    assert calls == [11, 2]
     calls.clear()
     for suite in DISCORD_SUITES:
         suite()
-    assert len(calls) == 16
+    assert sum(calls) == 16
 
 
 def test_a_run_that_raises_shares_no_optima_afterwards(monkeypatch):
@@ -379,10 +381,10 @@ def test_a_run_that_raises_shares_no_optima_afterwards(monkeypatch):
     monkeypatch.setattr(verify, "ALL_SUITES", (verify.suite_discord_oracle, failing))
     with pytest.raises(RuntimeError, match="suite failed"):
         verify.run_all()
-    assert len(calls) == 11
+    assert sum(calls) == 11
     calls.clear()
     verify.suite_discord_zero_at_classical()
-    assert len(calls) == 1
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("suite", verify.ALL_SUITES, ids=lambda s: s.__name__)

@@ -18,6 +18,7 @@ import pytest
 from corr_radiance import correlations
 from corr_radiance.correlations import (
     discord_numeric,
+    discord_numerics,
     discord_to_c,
     discord_to_c_array,
     discord_werner_closed,
@@ -140,8 +141,9 @@ def test_array_inversion_of_mixed_targets_matches_the_reference():
         (discord_to_c, ["d"]),
         (discord_to_c_array, ["d"]),
         (discord_numeric, ["rho", "measured"]),
+        (discord_numerics, ["stack", "measured"]),
     ],
-    ids=["discord_to_c", "discord_to_c_array", "discord_numeric"],
+    ids=["discord_to_c", "discord_to_c_array", "discord_numeric", "discord_numerics"],
 )
 def test_the_solvers_take_no_settings(solver, parameters):
     # the tolerance and the angle grid are module constants, not arguments

@@ -6,6 +6,7 @@ read back as, token by token."""
 import json
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ conventions = st.sampled_from(("indexed", "centered"))
 @given(params=stacks, geom=geometries, convention=conventions)
 @example(params=[XStateParams(0.0, 0.0, 0.0), SINGLET], geom=DetectionGeometry(2.0, 0.0), convention="centered")
 def test_stacked_oracles_equal_one_state_calls(params, geom, convention):
-    stack = x_states(params)
+    stack = x_states([astuple(p) for p in params])
     intensity = intensity_oracle(stack, geom, convention)
     g2 = g2_oracle(stack, geom, convention)
     assert intensity.shape == g2.shape == (len(params),)
@@ -157,7 +158,7 @@ NON_REAL = {
     convention=conventions,
 )
 def test_a_non_real_member_raises_as_it_does_alone(params, at, label, geom, convention):
-    stack = x_states(params)
+    stack = x_states([astuple(p) for p in params])
     # a member of intensity 1, so that its pair rate is checked too
     bad = make_x_state(XStateParams(0.0, 0.0, 0.0)).mat.copy()
     for row, col, value in NON_REAL[label]:

@@ -26,6 +26,8 @@ from corr_radiance.qstate import (
     make_x_state,
     partial_trace,
     partial_traces,
+    valid_x_coefficients,
+    valid_x_params,
     validate_density,
     x_states,
 )
@@ -68,7 +70,7 @@ def reference_partial_trace(mat, keep):
 
 
 def reference_grid():
-    return [reference_state(reference_x_state(p)) for p in verify.valid_x_params()]
+    return [reference_state(reference_x_state(p)) for p in valid_x_params()]
 
 
 def reference_x_state_validity(grid, tol_scale):
@@ -186,7 +188,7 @@ def test_an_empty_stack_has_empty_checks():
 
 
 def good_stack():
-    return np.array(x_states([XStateParams(0.1 * i, -0.05 * i, 0.02 * i) for i in range(6)]))
+    return np.array(x_states([(0.1 * i, -0.05 * i, 0.02 * i) for i in range(6)]))
 
 
 @pytest.mark.parametrize("bad", [0, 3, 5])
@@ -211,7 +213,7 @@ def test_one_matrix_is_rejected_without_an_index():
 
 def test_stacks_cannot_be_made_writable_and_own_their_data():
     stack = good_stack()
-    built = x_states([XStateParams(0.1 * i, -0.05 * i, 0.02 * i) for i in range(6)])
+    built = x_states([(0.1 * i, -0.05 * i, 0.02 * i) for i in range(6)])
     reduced = partial_traces(stack, 2)
     for out in (built, reduced):
         assert not out.flags.writeable
@@ -231,8 +233,8 @@ def test_stacks_cannot_be_made_writable_and_own_their_data():
 
 
 def test_make_x_state_equals_its_row_of_the_stack():
-    params = verify.valid_x_params(step=0.25)
-    stack = x_states(params)
+    params = valid_x_params(step=0.25)
+    stack = x_states(valid_x_coefficients(step=0.25))
     assert stack.shape == (len(params), 4, 4) and not stack.flags.writeable
     for p, row in zip(params, stack):
         single = make_x_state(p).mat
@@ -299,10 +301,10 @@ def counting_validations(monkeypatch):
 
 @pytest.mark.parametrize("name", ["make_x_state", "partial_trace", "x_states", "partial_traces"])
 def test_each_constructor_validates_once(monkeypatch, name):
-    params = verify.valid_x_params(step=0.4)
-    rho, stack = make_x_state(params[0]), x_states(params)
+    params = valid_x_coefficients(step=0.4)
+    rho, stack = make_x_state(XStateParams(*params[0])), x_states(params)
     build, size = {
-        "make_x_state": (lambda: make_x_state(params[0]), 1),
+        "make_x_state": (lambda: make_x_state(XStateParams(*params[0])), 1),
         "partial_trace": (lambda: partial_trace(rho, 2), 1),
         "x_states": (lambda: x_states(params), len(params)),
         "partial_traces": (lambda: partial_traces(stack, 1), len(params)),
