@@ -73,13 +73,12 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not (math.isfinite(self.kl) and self.kl > 1.0):
-            raise ValueError(f"--kl must be finite and exceed 1, got {self.kl}")
-        if self.kl > MAX_KL:
-            raise ValueError(
-                f"--kl must be at most {MAX_KL:g}, got {self.kl}: beyond that the "
-                "rounding of the phase kl sin(beta) nears the classification tolerance"
-            )
+        try:
+            DetectionGeometry(self.kl, self.sin_beta)
+        except ValueError as exc:
+            # the message opens with the field's name: name its option instead
+            field, rest = str(exc).split(" ", 1)
+            raise ValueError(f"--{field.replace('_', '-')} {rest}") from None
         if self.grid_d < 2:
             raise ValueError(f"--grid-d needs at least 2 samples, got {self.grid_d}")
         if self.grid_b < 2:
@@ -89,8 +88,6 @@ class RunConfig:
                 f"{self.command} would write {self.table_rows()} rows, more than the "
                 f"limit of {MAX_TABLE_ROWS}; lower --grid-d or --grid-b"
             )
-        if not -1.0 <= self.sin_beta <= 1.0:
-            raise ValueError(f"--sin-beta must lie in [-1, 1], got {self.sin_beta}")
         if self.out == "":
             raise ValueError("--out must name a file, got an empty path")
         if self.format not in ("csv", "json"):
@@ -323,8 +320,7 @@ def _sweep(cfg: RunConfig, width: int, columns: tuple[str, ...], kernel) -> Tabl
 def _sin_beta_axis(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """The sin beta axis of fig2/fig4 and the cos phase of each point."""
     sin_betas = np.linspace(-1.0, 1.0, cfg.grid_b)
-    return sin_betas, np.array([DetectionGeometry.from_sin_beta(cfg.kl, s).cos_phase
-                                for s in sin_betas.tolist()])
+    return sin_betas, np.array([DetectionGeometry(cfg.kl, s).cos_phase for s in sin_betas.tolist()])
 
 
 _STATISTICS_NAMES = tuple(s.value for s in STATISTICS)
@@ -346,7 +342,7 @@ def cmd_fig2(cfg: RunConfig) -> Table:
 
 def cmd_fig3(cfg: RunConfig) -> Table:
     """Intensity against discord along the two extreme observation angles."""
-    forward, backward = (DetectionGeometry.from_sin_beta(cfg.kl, s).cos_phase for s in (1.0, 0.0))
+    forward, backward = (DetectionGeometry(cfg.kl, s).cos_phase for s in (1.0, 0.0))
     return _sweep(cfg, 1, ("I_sinb1", "I_sinb0"),
                   lambda c, i, j: (x_intensity(-c[i], forward), x_intensity(-c[i], backward)))
 
@@ -371,7 +367,7 @@ def cmd_fig5(cfg: RunConfig) -> Table:
     """g2 against discord at a fixed angle, marking where it crosses 1.  Only
     the last row (c = 1) can be undefined, so the row before a defined row is
     the previous defined row that ``_crossing_marks`` compares it with."""
-    cos_phase = DetectionGeometry.from_sin_beta(cfg.kl, cfg.sin_beta).cos_phase
+    cos_phase = DetectionGeometry(cfg.kl, cfg.sin_beta).cos_phase
 
     def cells(c, i, j):
         e = werner_emission(c[i], cos_phase)
@@ -385,7 +381,7 @@ def cmd_fig5(cfg: RunConfig) -> Table:
 def cmd_transition(cfg: RunConfig) -> tuple[Table, list[str], int]:
     """Locate the statistics transition; reports status none when absent.
     With ``--out`` a summary line is printed, else the table itself."""
-    geom = DetectionGeometry.from_sin_beta(cfg.kl, cfg.sin_beta)
+    geom = DetectionGeometry(cfg.kl, cfg.sin_beta)
     point = find_statistics_transition(geom)
     if point is None:
         c_star, d_t, status = math.nan, math.nan, "none"
@@ -449,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
         argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("command", choices=COMMANDS, help="which table or action to run")
-    parser.add_argument("--kl", type=float,
-                        help="wave number times atom separation, in (1, MAX_KL = 1000] (default: pi)")
+    parser.add_argument("--kl", type=float, help=(
+        f"wave number times atom separation, in (1, MAX_KL = {MAX_KL:g}] (default: pi)"))
     parser.add_argument("--grid-d", type=int,
                         help="samples along the discord axis (default: 101)")
     parser.add_argument("--grid-b", type=int,

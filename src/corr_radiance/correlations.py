@@ -23,6 +23,7 @@ from .qstate import (
     DensityMatrix,
     eigenvalue_entropy,
     partial_traces,
+    two_atom_stack,
 )
 
 # snap window for the separability threshold c = 1/3
@@ -162,8 +163,6 @@ def discord_numeric(rho: DensityMatrix, measured: int = 2) -> DiscordResult:
         ``converged`` is False if the ``DISCORD_MAX_DEPTH`` sweeps ran out
         before the improvement dropped below ``DISCORD_TOL``.
     """
-    if rho.dim != 4:
-        raise ValueError("discord needs a two-atom (4x4) state")
     return discord_numerics(rho.mat[np.newaxis], measured)[0]
 
 
@@ -179,9 +178,7 @@ def discord_numerics(stack, measured: int = 2) -> list[DiscordResult]:
     """
     if measured not in (1, 2):
         raise ValueError(f"measured atom must be 1 or 2, got {measured}")
-    states = np.asarray(stack)
-    if states.ndim != 3 or states.shape[1:] != (4, 4):
-        raise ValueError(f"discord needs two-atom (4x4) states, got shape {states.shape}")
+    states = two_atom_stack(stack, "discord")
     s_total = [eigenvalue_entropy(lam) for lam in np.linalg.eigvalsh(states)]
     s_measured = [eigenvalue_entropy(lam) for lam in np.linalg.eigvalsh(partial_traces(states, measured))]
 
@@ -300,17 +297,13 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     C = max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)}.  This is
     ``concurrences_wootters`` of the stack of one.
     """
-    if rho.dim != 4:
-        raise ValueError("concurrence needs a two-atom (4x4) state")
     return float(concurrences_wootters(rho.mat[np.newaxis])[0])
 
 
 def concurrences_wootters(stack) -> np.ndarray:
     """``concurrence_wootters`` of each state of a (k, 4, 4) stack, bit for
     bit, by one batched product and one batched ``eigvals``."""
-    r = np.asarray(stack)
-    if r.ndim != 3 or r.shape[1:] != (4, 4):
-        raise ValueError(f"concurrence needs two-atom (4x4) states, got shape {r.shape}")
+    r = two_atom_stack(stack, "concurrence")
     flipped = _YY @ r.conj() @ _YY
     lam = np.sort(np.clip(np.linalg.eigvals(r @ flipped).real, 0.0, None), axis=-1)[:, ::-1]
     roots = np.sqrt(lam)

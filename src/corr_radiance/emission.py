@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .correlations import discord_werner_closed
-from .qstate import CMatrix, DensityMatrix, XStateParams, dagger, sigma_minus
+from .qstate import CMatrix, DensityMatrix, XStateParams, sigma_minus, two_atom_stack
 
 # intensities below this are treated as zero and g2 as undefined
 UNDEFINED_INTENSITY_TOL = 1e-12
@@ -44,28 +44,29 @@ class PhotonStatistics(Enum):
 
 @dataclass(frozen=True)
 class DetectionGeometry:
-    """Detector placement: kl is wave number times atom separation (> 1,
-    the separated-atom regime), beta the observation angle off broadside."""
+    """Detector placement: kl is wave number times atom separation, in
+    (1, MAX_KL] (the separated-atom regime), sin_beta the sine of the
+    observation angle off broadside, in [-1, 1].  This is the one check of
+    both ranges; each error opens with the name of the field at fault."""
 
     kl: float
-    beta: float
+    sin_beta: float
 
     def __post_init__(self):
         if not (math.isfinite(self.kl) and self.kl > 1.0):
             raise ValueError(f"kl must be finite and exceed 1, got {self.kl}")
-        if not (math.isfinite(self.beta) and abs(self.beta) <= math.pi / 2.0 + 1e-12):
-            raise ValueError(f"beta must lie in [-pi/2, pi/2], got {self.beta}")
-
-    @classmethod
-    def from_sin_beta(cls, kl: float, sin_beta: float) -> "DetectionGeometry":
-        if not -1.0 <= sin_beta <= 1.0:
-            raise ValueError(f"sin(beta) = {sin_beta} lies outside [-1, 1]")
-        return cls(kl, math.asin(sin_beta))
+        if self.kl > MAX_KL:
+            raise ValueError(
+                f"kl must be at most {MAX_KL:g}, got {self.kl}: beyond that the "
+                "rounding of the phase kl sin(beta) nears the classification tolerance"
+            )
+        if not -1.0 <= self.sin_beta <= 1.0:
+            raise ValueError(f"sin_beta must lie in [-1, 1], got {self.sin_beta}")
 
     @property
     def phase(self) -> float:
         """Relative optical phase kl sin(beta) between the two emitters."""
-        return self.kl * math.sin(self.beta)
+        return self.kl * self.sin_beta
 
     @property
     def cos_phase(self) -> float:
@@ -110,12 +111,14 @@ def field_operator(geom: DetectionGeometry, convention: str = "indexed") -> CMat
 
 
 def _real_traces(stack: np.ndarray, op: CMatrix, label: str, members=slice(None)) -> np.ndarray:
-    """tr(rho op† op) of each state in a (k, 4, 4) stack, as (rho op†) op.
+    """tr(rho op† op) of each state in a (k, 4, 4) stack, as the sum over i, j
+    of rho_ij (op† op)_ji: one contraction that calls no BLAS, so the traces
+    do not depend on which BLAS kernel the CPU selects.
 
     Raises ValueError naming ``label`` at the first of ``members`` whose
     trace has an imaginary part above _IMAG_TOL.
     """
-    values = np.trace(stack @ dagger(op) @ op, axis1=-2, axis2=-1)
+    values = np.einsum("kij,ji->k", stack, np.einsum("ij,ik->jk", op.conj(), op))
     for value in values[members]:
         if abs(value.imag) > _IMAG_TOL:
             raise ValueError(f"{label} came out non-real (imaginary part {value.imag:.3g})")
@@ -124,12 +127,7 @@ def _real_traces(stack: np.ndarray, op: CMatrix, label: str, members=slice(None)
 
 def _oracle_stack(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     """A DensityMatrix as a stack of one, or a (k, 4, 4) stack as it is."""
-    if isinstance(rho, DensityMatrix):
-        return rho.mat[np.newaxis]
-    stack = np.asarray(rho)
-    if stack.ndim != 3 or stack.shape[1:] != (4, 4):
-        raise ValueError(f"the oracles need two-atom (4x4) states, got shape {stack.shape}")
-    return stack
+    return two_atom_stack(rho.mat[np.newaxis] if isinstance(rho, DensityMatrix) else rho, "an oracle")
 
 
 def intensity_oracle(
@@ -276,10 +274,7 @@ def radiance_boundary(kl: float) -> list[float]:
     equals 1 for every Werner state; empty when kl < pi/2.  There are about
     2 kl / pi of them, so kl above MAX_KL is rejected.
     """
-    if not (math.isfinite(kl) and kl > 1.0):
-        raise ValueError(f"kl must be finite and exceed 1, got {kl}")
-    if kl > MAX_KL:
-        raise ValueError(f"kl must be at most MAX_KL = {MAX_KL:g}, got {kl}")
+    DetectionGeometry(kl, 0.0)  # checks kl
     positives = []
     n = 0
     while True:

@@ -32,10 +32,6 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 LOWERING = np.outer(KET_G, KET_E.conj())  # |g><e|
 
 
-def dagger(a: CMatrix) -> CMatrix:
-    return a.conj().T
-
-
 @dataclass(frozen=True)
 class XStateParams:
     """Correlation coefficients (cx, cy, cz) of a Bell-diagonal two-atom state.
@@ -193,8 +189,6 @@ def _frozen_valid(a: np.ndarray) -> np.ndarray:
 
     A failure names the first failing member's index when ``a`` is a stack.
     """
-    if a.shape[-1] not in (2, 4):
-        raise ValueError(f"density matrix must be 2x2 or 4x4, got {a.shape}")
     check = validate_density(a)
     failed = np.flatnonzero(~np.atleast_1d(check.passed))
     if failed.size:
@@ -228,8 +222,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         a = np.array(self.mat, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if a.shape not in ((2, 2), (4, 4)):
+            raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {a.shape}")
         object.__setattr__(self, "mat", _frozen_valid(a))
 
     @property
@@ -274,13 +268,20 @@ def make_werner(c: float) -> DensityMatrix:
     return make_x_state(XStateParams(-c, -c, -c))
 
 
+def two_atom_stack(stack, what: str) -> np.ndarray:
+    """``stack`` as an array, checked to be a (k, 4, 4) stack of two-atom
+    states: the one shape check of every function that takes them.  The
+    error says that ``what`` needs them."""
+    s = np.asarray(stack)
+    if s.ndim != 3 or s.shape[1:] != (4, 4):
+        raise ValueError(f"{what} needs two-atom (4x4) states, got shape {s.shape}")
+    return s
+
+
 def _reduce(stack, keep: int) -> np.ndarray:
     """Unvalidated reduced states of atom ``keep`` (1 or 2) of a (k, 4, 4)
     stack of two-atom states, in one ``einsum``."""
-    s = np.asarray(stack, dtype=complex)
-    if s.ndim != 3 or s.shape[1:] != (4, 4):
-        raise ValueError(f"partial trace needs two-atom (4x4) states, got shape {s.shape}")
-    r = s.reshape(-1, 2, 2, 2, 2)
+    r = two_atom_stack(np.asarray(stack, dtype=complex), "partial trace").reshape(-1, 2, 2, 2, 2)
     if keep == 1:
         return np.einsum("kabcb->kac", r)
     if keep == 2:
@@ -353,9 +354,7 @@ def excitation_probabilities(stack) -> np.ndarray:
     """Expected number of excited atoms, tr[(P_e x I + I x P_e) rho], of each
     state in a (k, 4, 4) stack, by one batched product per chunk of
     ``_STACK_CHUNK`` states."""
-    s = np.asarray(stack)
-    if s.ndim != 3 or s.shape[1:] != (4, 4):
-        raise ValueError(f"excitation probability needs two-atom (4x4) states, got shape {s.shape}")
+    s = two_atom_stack(stack, "excitation probability")
     probs = np.empty(len(s))
     for part in _chunks(len(s)):
         probs[part] = np.trace(_NUMBER_OP @ s[part], axis1=1, axis2=2).real
@@ -364,6 +363,4 @@ def excitation_probabilities(stack) -> np.ndarray:
 
 def excitation_probability(rho: DensityMatrix) -> float:
     """Expected number of excited atoms, tr[(P_e x I + I x P_e) rho]."""
-    if rho.dim != 4:
-        raise ValueError("excitation probability needs a two-atom (4x4) state")
     return float(excitation_probabilities(rho.mat[np.newaxis])[0])

@@ -71,7 +71,7 @@ def _result(name: str, deviation: float, tolerance: float, tol_scale: float = 1.
 
 def _geometry_grid(angles: int) -> list[DetectionGeometry]:
     """``angles`` values of sin beta over [-1, 1] at each of four ``kl``."""
-    return [DetectionGeometry.from_sin_beta(kl, float(s))
+    return [DetectionGeometry(kl, float(s))
             for kl in (1.7, math.pi, 2.0 * math.pi, 3.0 * math.pi)
             for s in np.linspace(-1.0, 1.0, angles)]
 
@@ -245,7 +245,7 @@ def suite_phase_convention() -> SuiteResult:
     dev = 0.0
     for kl in (math.pi, 3.0 * math.pi):
         for s in np.linspace(-1.0, 1.0, 9):
-            geom = DetectionGeometry.from_sin_beta(kl, float(s))
+            geom = DetectionGeometry(kl, float(s))
             ia = intensity_oracle(werner, geom, "indexed")
             ib = intensity_oracle(werner, geom, "centered")
             ga = g2_oracle(werner, geom, "indexed")
@@ -262,7 +262,7 @@ def suite_phase_convention() -> SuiteResult:
 
 def suite_monotone_enhancement() -> SuiteResult:
     c = np.array([discord_to_c(float(d)) for d in np.linspace(0.0, 1.0, 21)])
-    geoms = [DetectionGeometry.from_sin_beta(math.pi, s) for s in (1.0, 0.0)]
+    geoms = [DetectionGeometry(math.pi, s) for s in (1.0, 0.0)]
     rising, falling = x_intensity(-c[:, None], _cos_phases(geoms)).T
     dev = max(float(np.max(rising[:-1] - rising[1:])), float(np.max(falling[1:] - falling[:-1])))
     return _result("intensity strictly monotone in discord", dev, 0.0)
@@ -270,7 +270,7 @@ def suite_monotone_enhancement() -> SuiteResult:
 
 def suite_boundary_neutrality() -> SuiteResult:
     geoms = [
-        DetectionGeometry.from_sin_beta(kl, s)
+        DetectionGeometry(kl, s)
         for kl in (math.pi, 3.0 * math.pi)
         for s in radiance_boundary(kl)
     ]
@@ -280,7 +280,7 @@ def suite_boundary_neutrality() -> SuiteResult:
 
 
 def suite_superradiant_statistics() -> SuiteResult:
-    geoms = [DetectionGeometry.from_sin_beta(math.pi, s) for s in (-0.95, -0.75, -0.55, 0.55, 0.75, 0.95)]
+    geoms = [DetectionGeometry(math.pi, s) for s in (-0.95, -0.75, -0.55, 0.55, 0.75, 0.95)]
     c = np.array([discord_to_c(float(d)) for d in np.linspace(0.0, 1.0, 50)])
     g2 = werner_emission(c, _cos_phases(geoms)[:, None]).g2
     inside = (0.0 < c) & (c < 1.0)
@@ -289,7 +289,7 @@ def suite_superradiant_statistics() -> SuiteResult:
 
 
 def suite_transition_sign_structure() -> SuiteResult:
-    geom = DetectionGeometry.from_sin_beta(math.pi, 0.2)
+    geom = DetectionGeometry(math.pi, 0.2)
     codes = werner_emission(np.linspace(1e-6, 1.0 - 1e-6, 2001), geom.cos_phase).statistics
     signs = codes[codes != STATISTICS.index(PhotonStatistics.POISSONIAN)]
     flips = np.count_nonzero(signs[1:] != signs[:-1])

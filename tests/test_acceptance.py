@@ -64,7 +64,7 @@ def test_c01_discord_benchmark_value():
 
 def test_c02_statistics_transition_location():
     t0 = time.perf_counter()
-    geom = DetectionGeometry.from_sin_beta(PI, 0.2)
+    geom = DetectionGeometry(PI, 0.2)
     point = find_statistics_transition(geom)
     # independent root: bisect g2 - 1 on the same closed form
     lo, hi = 1e-9, 1.0 - 1e-12
@@ -88,7 +88,7 @@ def _geometry_grid(n_angles):
     geoms = []
     for kl in (1.7, PI, 2.0 * PI, 3.0 * PI):
         for s in np.linspace(-1.0, 1.0, n_angles):
-            geoms.append(DetectionGeometry.from_sin_beta(kl, float(s)))
+            geoms.append(DetectionGeometry(kl, float(s)))
     return geoms
 
 
@@ -139,7 +139,7 @@ def test_c05_radiance_boundary_at_half_wavelength():
     cs = [round(0.1 * k, 10) for k in range(11)]
     worst = 0.0
     for s in boundary:
-        geom = DetectionGeometry.from_sin_beta(PI, s)
+        geom = DetectionGeometry(PI, s)
         for c in cs:
             worst = max(worst, abs(intensity_closed_x(werner_params(c), geom) - 1.0))
     assert worst <= 1e-12
@@ -147,7 +147,7 @@ def test_c05_radiance_boundary_at_half_wavelength():
         s = float(s)
         if abs(abs(s) - 0.5) < 1e-9:
             continue
-        geom = DetectionGeometry.from_sin_beta(PI, s)
+        geom = DetectionGeometry(PI, s)
         for c in cs:
             if c == 0.0:
                 continue
@@ -163,7 +163,7 @@ def test_c05_radiance_boundary_at_half_wavelength():
 def test_c06_superradiant_lobes_sub_poissonian_and_monotone():
     d_axis = np.linspace(0.0, 1.0, 50)
     for s in (-1.0, -0.8, -0.6, 0.55, 0.7, 0.85, 1.0):
-        geom = DetectionGeometry.from_sin_beta(PI, s)
+        geom = DetectionGeometry(PI, s)
         previous = None
         for d in d_axis:
             c = discord_to_c(float(d))
@@ -177,8 +177,8 @@ def test_c06_superradiant_lobes_sub_poissonian_and_monotone():
 
 
 def test_c07_monotone_enhancement_with_pinned_endpoints():
-    geom_fwd = DetectionGeometry.from_sin_beta(PI, 1.0)
-    geom_bwd = DetectionGeometry.from_sin_beta(PI, 0.0)
+    geom_fwd = DetectionGeometry(PI, 1.0)
+    geom_bwd = DetectionGeometry(PI, 0.0)
     rising, falling = [], []
     for d in np.linspace(0.0, 1.0, 101):
         c = discord_to_c(float(d))

@@ -31,6 +31,7 @@ from corr_radiance.cli import (
     cmd_fig4,
     cmd_fig5,
     _crossing_marks,
+    _sin_beta_axis,
     build_parser,
     cmd_transition,
     main,
@@ -67,6 +68,11 @@ class TestTables:
         assert first[3] == pytest.approx(1.0, abs=1e-9)
         assert last[2] == pytest.approx(2.0, abs=1e-9)
         assert last[3] == pytest.approx(0.0, abs=1e-9)
+
+    def test_the_sin_beta_axis_takes_the_cos_phase_of_each_printed_sin_beta(self):
+        sin_betas, cos_phase = _sin_beta_axis(cfg("fig4", grid_b=2048))
+        assert len(sin_betas) == 2048
+        assert cos_phase.tolist() == [math.cos(math.pi * s) for s in sin_betas.tolist()]
 
     def test_fig4_flags_the_undefined_point(self):
         # (D, sin_beta) = (1, 0) is the 0/0 point of g2 at kl = pi
@@ -169,6 +175,17 @@ class TestRendering:
         assert undefined[0]["g2"] is None
 
 
+# the exact error line of a bad --kl or --sin-beta, after "corr-radiance: error: "
+USAGE_ERRORS = {
+    "--kl 0": "--kl must be finite and exceed 1, got 0.0",
+    "--kl 1e300": (
+        "--kl must be at most 1000, got 1e+300: beyond that the rounding of the "
+        "phase kl sin(beta) nears the classification tolerance"
+    ),
+    "--sin-beta 2": "--sin-beta must lie in [-1, 1], got 2.0",
+}
+
+
 class TestMainEntry:
     def test_writes_byte_identical_files_across_runs(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -204,11 +221,15 @@ class TestMainEntry:
             ["transition", "--kl", "1e300"],
             ["transition", "--kl", "1e12"],
             ["transition", "--kl", repr(math.nextafter(MAX_KL, math.inf))],
+            ["fig2", "--kl", "0"],
+            ["fig2", "--sin-beta", "2"],
         ],
     )
     def test_invalid_arguments_exit_one(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        if " ".join(argv[1:]) in USAGE_ERRORS:
+            assert err == f"corr-radiance: error: {USAGE_ERRORS[' '.join(argv[1:])]}\n"
 
     def test_kl_cap_itself_is_accepted(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -46,49 +46,50 @@ def geometry_samples():
     geoms = []
     for kl in (1.7, PI, 2.0 * PI, 3.0 * PI):
         for s in np.linspace(-1.0, 1.0, 9):
-            geoms.append(DetectionGeometry.from_sin_beta(kl, float(s)))
+            geoms.append(DetectionGeometry(kl, float(s)))
     return geoms
 
 
 class TestDetectionGeometry:
     def test_phase_is_kl_times_sin_beta(self):
-        geom = DetectionGeometry.from_sin_beta(PI, 0.2)
+        geom = DetectionGeometry(PI, 0.2)
         assert geom.phase == pytest.approx(0.2 * PI, abs=1e-14)
 
-    @pytest.mark.parametrize("kl", [1.0, 0.5, -2.0, float("inf")])
+    @pytest.mark.parametrize(
+        "kl", [1.0, 0.5, -2.0, float("inf"), float("nan"), math.nextafter(MAX_KL, math.inf)]
+    )
     def test_rejects_kl_outside_separated_regime(self, kl):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^kl must"):
             DetectionGeometry(kl, 0.0)
 
     def test_rejects_angle_outside_half_circle(self):
-        with pytest.raises(ValueError):
-            DetectionGeometry(PI, 2.0)
-        with pytest.raises(ValueError):
-            DetectionGeometry.from_sin_beta(PI, 1.5)
+        for sin_beta in (2.0, 1.5, math.nextafter(-1.0, -math.inf), math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"^sin_beta must lie in \[-1, 1\]"):
+                DetectionGeometry(PI, sin_beta)
 
 
 class TestFieldOperator:
     def test_reduces_to_plain_sum_at_broadside(self):
-        geom = DetectionGeometry.from_sin_beta(PI, 0.0)
+        geom = DetectionGeometry(PI, 0.0)
         expected = sigma_minus(1) + sigma_minus(2)
         assert np.allclose(field_operator(geom, "indexed"), expected, atol=1e-15)
         assert np.allclose(field_operator(geom, "centered"), expected, atol=1e-15)
 
     def test_square_collapses_to_double_lowering(self):
         # squares of each lowering operator vanish, leaving the cross term
-        geom = DetectionGeometry.from_sin_beta(PI, 0.37)
+        geom = DetectionGeometry(PI, 0.37)
         s = geom.phase
         ep = field_operator(geom, "indexed")
         expected = 2.0 * np.exp(-1j * 3.0 * s) * sigma_minus(1) @ sigma_minus(2)
         assert np.allclose(ep @ ep, expected, atol=1e-14)
 
     def test_annihilates_the_ground_state(self):
-        geom = DetectionGeometry.from_sin_beta(PI, 0.6)
+        geom = DetectionGeometry(PI, 0.6)
         gg = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
         assert np.allclose(field_operator(geom) @ gg, 0.0, atol=1e-15)
 
     def test_rejects_unknown_convention(self):
-        geom = DetectionGeometry.from_sin_beta(PI, 0.1)
+        geom = DetectionGeometry(PI, 0.1)
         with pytest.raises(ValueError):
             field_operator(geom, "sideways")
 
@@ -111,7 +112,7 @@ class TestIntensity:
                 )
 
     def test_reference_values(self):
-        geom = DetectionGeometry.from_sin_beta(PI, 1.0)
+        geom = DetectionGeometry(PI, 1.0)
         assert intensity_closed_x(werner_params(1.0), geom) == pytest.approx(2.0, abs=1e-12)
         both = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
         assert intensity_oracle(both, geom) == pytest.approx(2.0, abs=1e-12)
@@ -139,17 +140,17 @@ class TestG2:
                     assert abs(numeric - closed) <= 1e-12
 
     def test_reference_values(self):
-        broadside = DetectionGeometry.from_sin_beta(PI, 0.0)
+        broadside = DetectionGeometry(PI, 0.0)
         assert g2_closed_werner(0.5, broadside) == pytest.approx(2.0, abs=1e-12)
         assert g2_oracle(make_werner(0.5), broadside) == pytest.approx(2.0, abs=1e-12)
         # uncorrelated light is Poissonian everywhere
         for geom in geometry_samples():
             assert g2_closed_werner(0.0, geom) == pytest.approx(1.0, abs=1e-12)
-        endfire = DetectionGeometry.from_sin_beta(PI, 1.0)
+        endfire = DetectionGeometry(PI, 1.0)
         assert g2_closed_werner(1.0, endfire) == pytest.approx(0.0, abs=1e-12)
 
     def test_undefined_at_vanishing_intensity(self):
-        broadside = DetectionGeometry.from_sin_beta(PI, 0.0)
+        broadside = DetectionGeometry(PI, 0.0)
         assert g2_closed_werner(1.0, broadside) is None
         assert g2_oracle(make_werner(1.0), broadside) is None
 
@@ -164,7 +165,7 @@ class TestG2:
 
     def test_rejects_out_of_range_parameter(self):
         with pytest.raises(ValueError):
-            g2_closed_werner(-0.2, DetectionGeometry.from_sin_beta(PI, 0.1))
+            g2_closed_werner(-0.2, DetectionGeometry(PI, 0.1))
 
 
 class TestClassification:
@@ -215,7 +216,7 @@ class TestClassification:
         assert bool(e.undefined) is undefined
         assert math.isnan(e.g2) is undefined
         assert (STATISTICS[e.statistics] is PhotonStatistics.UNDEFINED) is undefined
-        assert (g2_closed_werner(c, DetectionGeometry.from_sin_beta(PI, 0.0)) is None) is undefined
+        assert (g2_closed_werner(c, DetectionGeometry(PI, 0.0)) is None) is undefined
 
     @pytest.mark.parametrize("half_sum", [0.0, -1.0])
     def test_kernel_fields_take_the_shape_of_all_three_arguments(self, half_sum):
@@ -276,14 +277,14 @@ class TestRadianceBoundary:
     def test_intensity_is_unity_on_the_boundary(self):
         for kl in (PI, 3.0 * PI):
             for s in radiance_boundary(kl):
-                geom = DetectionGeometry.from_sin_beta(kl, s)
+                geom = DetectionGeometry(kl, s)
                 for c in np.arange(0.0, 1.0 + 1e-12, 0.1):
                     assert abs(intensity_closed_x(werner_params(float(c)), geom) - 1.0) <= 1e-12
 
 
 class TestStatisticsTransition:
     def test_reference_point(self):
-        geom = DetectionGeometry.from_sin_beta(PI, 0.2)
+        geom = DetectionGeometry(PI, 0.2)
         point = find_statistics_transition(geom)
         assert point is not None
         assert point.c_star == pytest.approx(C_STAR_REF, abs=1e-12)
@@ -293,7 +294,7 @@ class TestStatisticsTransition:
         assert g2_closed_werner(point.c_star, geom) == pytest.approx(1.0, abs=1e-10)
 
     def test_agrees_with_independent_bisection(self):
-        geom = DetectionGeometry.from_sin_beta(PI, 0.2)
+        geom = DetectionGeometry(PI, 0.2)
         point = find_statistics_transition(geom)
         lo, hi = 1e-9, 1.0 - 1e-12
         for _ in range(80):
@@ -305,28 +306,28 @@ class TestStatisticsTransition:
         assert abs(0.5 * (lo + hi) - point.c_star) <= 1e-8
 
     def test_discord_at_transition_is_the_closed_form(self):
-        geom = DetectionGeometry.from_sin_beta(PI, 0.31)
+        geom = DetectionGeometry(PI, 0.31)
         point = find_statistics_transition(geom)
         assert point.discord == pytest.approx(discord_werner_closed(point.c_star), abs=1e-14)
 
     @pytest.mark.parametrize("sin_beta", [0.0, 0.5, 1.0, -1.0, 0.37])
     def test_none_when_no_crossing_exists(self, sin_beta):
         # cos(pi sin beta) leaves (1/2, 1) at all of these angles
-        geom = DetectionGeometry.from_sin_beta(PI, sin_beta)
+        geom = DetectionGeometry(PI, sin_beta)
         assert find_statistics_transition(geom) is None
 
     def test_crossing_band_edge(self):
         # cos(phi) slightly above 1/2 still yields a root, slightly below none
-        inside = DetectionGeometry(1.04, math.pi / 2.0)
+        inside = DetectionGeometry(1.04, 1.0)
         assert find_statistics_transition(inside) is not None
-        outside = DetectionGeometry(1.06, math.pi / 2.0)
+        outside = DetectionGeometry(1.06, 1.0)
         assert find_statistics_transition(outside) is None
 
 
 class TestRegimeStructure:
     def test_monotone_enhancement_along_extreme_angles(self):
-        geom_fwd = DetectionGeometry.from_sin_beta(PI, 1.0)
-        geom_bwd = DetectionGeometry.from_sin_beta(PI, 0.0)
+        geom_fwd = DetectionGeometry(PI, 1.0)
+        geom_bwd = DetectionGeometry(PI, 0.0)
         rising = []
         falling = []
         for d in np.linspace(0.0, 1.0, 101):
@@ -342,7 +343,7 @@ class TestRegimeStructure:
 
     def test_superradiant_lobes_are_sub_poissonian(self):
         for s in (-0.9, -0.6, 0.55, 0.75, 1.0):
-            geom = DetectionGeometry.from_sin_beta(PI, s)
+            geom = DetectionGeometry(PI, s)
             for c in np.linspace(0.01, 0.99, 25):
                 c = float(c)
                 assert intensity_closed_x(werner_params(c), geom) > 1.0
@@ -350,12 +351,12 @@ class TestRegimeStructure:
 
     def test_subradiant_cone_for_small_angles(self):
         for s in (-0.45, -0.2, 0.0, 0.3, 0.45):
-            geom = DetectionGeometry.from_sin_beta(PI, s)
+            geom = DetectionGeometry(PI, s)
             for c in (0.1, 0.5, 1.0):
                 assert intensity_closed_x(werner_params(c), geom) < 1.0
 
     def test_g2_crosses_one_exactly_once_at_reference_angle(self):
-        geom = DetectionGeometry.from_sin_beta(PI, 0.2)
+        geom = DetectionGeometry(PI, 0.2)
         signs = []
         for c in np.linspace(1e-6, 1.0 - 1e-6, 1001):
             g2 = g2_closed_werner(float(c), geom)

@@ -4,14 +4,21 @@ Each case runs ``main`` in-process as ``corr-radiance <command> --format <fmt>
 [--grid-d N --grid-b N] --out FILE`` at the default kl = pi and sin beta =
 0.2 and hashes the file.  The verify cases also pin what ``verify`` prints
 and its exit status, at ``--tol-scale`` 1 and at 0, where every suite with a
-nonzero deviation fails.  These are the hashes of the table in CHANGES.md; a
-change that moves one changes what the package outputs.
+nonzero deviation fails.  These began as the hashes of the table in
+CHANGES.md, and CHANGES.md names each pin a later change moved; a change
+that moves one changes what the package outputs.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from test_batch_identity import cpu_flags, dynamic_arch_openblas
 
+import corr_radiance
 from corr_radiance.cli import EXIT_OK, EXIT_VERIFY, main
 
 # (command, format, --grid-d, --grid-b) -> SHA-256 of the written table;
@@ -41,22 +48,22 @@ TABLES = {
     ("transition", "csv", 401, 401): "83177ef92d3bdb758c2368b37fc5bba14df0db47a83e3dcc85eb6c738ecc71a4",
     ("transition", "json", 101, 101): "add1ed26c42278358ce5df4fa1d8ce84dbd925f9d4892e2377e2825557d70eb8",
     ("transition", "json", 401, 401): "b0cd7b1022e460a8396d57026adb6c4075bb6025763e997c3b0a2b195fcb8edc",
-    ("verify", "csv", 101, 101): "e0e01eb742279e7591ec0c9ebcc1a712d080f156a3632b4d196f9ed8fc1c01cb",
-    ("verify", "csv", 401, 401): "e0e01eb742279e7591ec0c9ebcc1a712d080f156a3632b4d196f9ed8fc1c01cb",
-    ("verify", "json", 101, 101): "b941e4d19eccab95a11699d27cbfcc90485157234b34b6bf82acbb1a4b3b6eda",
-    ("verify", "json", 401, 401): "ce73004b8b269b2db210c8b132fa1913c5a3083b8a68d9e4d6dea34550f92300",
+    ("verify", "csv", 101, 101): "77bae0d6e2b4a80995c96bf7e11256e716945c93ee725b47ed8fe3ade7743c79",
+    ("verify", "csv", 401, 401): "77bae0d6e2b4a80995c96bf7e11256e716945c93ee725b47ed8fe3ade7743c79",
+    ("verify", "json", 101, 101): "ac159a88d7c39eeb84518e0714f1cbe750ab6ab3da98d152e288994157896548",
+    ("verify", "json", 401, 401): "9b4542b0c6fce98f158eef91c3a97ff4bc2fd0fac7177bb5962b796a783538ab",
 }
 
 # --format -> SHA-256 of the table of ``verify --tol-scale 0``
 FAILING_VERIFY_TABLES = {
-    "csv": "0aaf2007b0fa959b4a66559b5396aa8d8ef6c12bcb65f946290463c3c228c73f",
-    "json": "2f2430645647d0a379fb74091813e5635c451d7753d66f054d23f42e4ffb548d",
+    "csv": "041713314179cf901a835e1a55d36d82ffd17d22556587d5a4ec58312e75ab59",
+    "json": "48c2129e98b43c16910f82ffd654e82a95ca1bf784482a0f2cb853164eecc8ff",
 }
 
 # --tol-scale -> (exit status, SHA-256 of what ``verify`` prints)
 VERIFY_STDOUT = {
-    "1": (EXIT_OK, "d9cc4128042aed402d047cf7003dfadae1aeeab7b5776f5cba6b6c8a130d3fc1"),
-    "0": (EXIT_VERIFY, "ea9b79f69641d09665c61a60c9dbcdeb7ac44d1828b57ee99333fdb360026d48"),
+    "1": (EXIT_OK, "d819b19a1d504d57ed691194127b1572f2774c3188d115962b218f2e2219d7f3"),
+    "0": (EXIT_VERIFY, "f1ae6cb160ef0372da313d7c04e20c8656d4abd4e32a5ec2a60e2529d337d1a7"),
 }
 
 
@@ -96,3 +103,24 @@ def test_failing_verify_table_bytes(fmt, tmp_path):
 def test_verify_stdout_bytes_and_exit_status(tol_scale, capsys):
     code = main(["verify", "--tol-scale", tol_scale])
     assert (code, sha256(capsys.readouterr().out.encode())) == VERIFY_STDOUT[tol_scale]
+
+
+def openblas_kernels() -> list[str]:
+    """The OpenBLAS kernels this CPU can run, by OPENBLAS_CORETYPE name."""
+    flags = cpu_flags()
+    needs = {"Prescott": set(), "SandyBridge": {"avx"}, "Haswell": {"avx2", "fma"}}
+    return [kernel for kernel, flag_set in needs.items() if flag_set <= flags]
+
+
+@pytest.mark.skipif(not dynamic_arch_openblas(), reason="needs a DYNAMIC_ARCH OpenBLAS")
+def test_verify_stdout_bytes_do_not_depend_on_the_blas_kernel():
+    src = str(Path(corr_radiance.__file__).resolve().parents[1])
+    for kernel in openblas_kernels():
+        env = {
+            **os.environ,
+            "OPENBLAS_CORETYPE": kernel,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+        }
+        run = subprocess.run([sys.executable, "-m", "corr_radiance.cli", "verify"],
+                             env=env, capture_output=True, timeout=300)
+        assert (run.returncode, sha256(run.stdout)) == VERIFY_STDOUT["1"], kernel

@@ -51,10 +51,17 @@ def x_params(draw):
 
 
 geometries = st.builds(
-    DetectionGeometry.from_sin_beta,
+    DetectionGeometry,
     st.floats(1.0, MAX_KL, exclude_min=True),
     st.floats(-1.0, 1.0),
 )
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(kl=st.floats(1.0, MAX_KL, exclude_min=True), sin_beta=st.floats(-1.0, 1.0))
+def test_the_phase_is_kl_times_the_sin_beta_given(kl, sin_beta):
+    geom = DetectionGeometry(kl, sin_beta)
+    assert geom.sin_beta == sin_beta and geom.phase == kl * sin_beta
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -121,8 +121,9 @@ class TestValidation:
     def test_density_matrix_constructor_enforces_the_same_rules(self):
         with pytest.raises(ValueError, match="invalid density matrix"):
             DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.1]))
-        with pytest.raises(ValueError, match="2x2 or 4x4"):
-            DensityMatrix(np.eye(3) / 3.0)
+        for mat in (np.eye(3) / 3.0, np.eye(2, 4) / 2.0, np.eye(2)[None] / 2.0):
+            with pytest.raises(ValueError, match="2x2 or 4x4"):
+                DensityMatrix(mat)
 
     def test_density_matrix_is_read_only(self):
         rho = make_werner(0.2)

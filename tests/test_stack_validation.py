@@ -16,6 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corr_radiance import qstate, verify
+from corr_radiance.correlations import (
+    concurrence_wootters,
+    concurrences_wootters,
+    discord_numeric,
+    discord_numerics,
+)
+from corr_radiance.emission import DetectionGeometry, g2_oracle, intensity_oracle
 from corr_radiance.qstate import (
     EIGENVALUE_FLOOR,
     HERMITICITY_TOL,
@@ -23,6 +30,8 @@ from corr_radiance.qstate import (
     DensityCheck,
     DensityMatrix,
     XStateParams,
+    excitation_probabilities,
+    excitation_probability,
     make_x_state,
     partial_trace,
     partial_traces,
@@ -256,6 +265,33 @@ def test_stacked_partial_traces_equal_one_state_at_a_time():
             for mat, part in zip(states, reduced):
                 assert part.tobytes() == reference_partial_trace(mat, keep).tobytes()
                 assert part.tobytes() == partial_trace(DensityMatrix(mat), keep).mat.tobytes()
+
+
+GEOMETRY = DetectionGeometry(3.0, 0.2)
+ONE_ATOM = DensityMatrix(np.eye(2) / 2.0)
+# each entry point that takes two-atom states, as a function of one argument,
+# with a one-atom input of the kind it takes: a DensityMatrix or a stack
+STATE_ENTRY_POINTS = {
+    "discord_numeric": (discord_numeric, ONE_ATOM),
+    "discord_numerics": (discord_numerics, ONE_ATOM.mat[np.newaxis]),
+    "concurrence_wootters": (concurrence_wootters, ONE_ATOM),
+    "concurrences_wootters": (concurrences_wootters, ONE_ATOM.mat[np.newaxis]),
+    "excitation_probability": (excitation_probability, ONE_ATOM),
+    "excitation_probabilities": (excitation_probabilities, ONE_ATOM.mat[np.newaxis]),
+    "partial_trace": (lambda rho: partial_trace(rho, 1), ONE_ATOM),
+    "partial_traces": (lambda stack: partial_traces(stack, 1), ONE_ATOM.mat[np.newaxis]),
+    "intensity_oracle": (lambda rho: intensity_oracle(rho, GEOMETRY), ONE_ATOM),
+    "intensity_oracle_stack": (lambda s: intensity_oracle(s, GEOMETRY), ONE_ATOM.mat[np.newaxis]),
+    "g2_oracle": (lambda rho: g2_oracle(rho, GEOMETRY), ONE_ATOM),
+    "g2_oracle_stack": (lambda s: g2_oracle(s, GEOMETRY), ONE_ATOM.mat[np.newaxis]),
+}
+
+
+@pytest.mark.parametrize("name", list(STATE_ENTRY_POINTS))
+def test_every_state_entry_point_rejects_one_atom_states(name):
+    entry, one_atom = STATE_ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match=r"two-atom \(4x4\) states, got shape \(1, 2, 2\)"):
+        entry(one_atom)
 
 
 def test_partial_traces_rejects_bad_arguments():

@@ -45,7 +45,7 @@ def _discord_axis(cfg):
 
 def _plane(cfg, cell):
     sin_betas = np.linspace(-1.0, 1.0, cfg.grid_b)
-    geoms = [DetectionGeometry.from_sin_beta(cfg.kl, float(s)) for s in sin_betas]
+    geoms = [DetectionGeometry(cfg.kl, float(s)) for s in sin_betas]
     return [
         (d, c, float(s), *cell(c, geom))
         for d, c in _discord_axis(cfg)
@@ -84,7 +84,7 @@ def _g2_cells(c, geom):
 
 
 def _fig5_rows(cfg):
-    geom = DetectionGeometry.from_sin_beta(cfg.kl, cfg.sin_beta)
+    geom = DetectionGeometry(cfg.kl, cfg.sin_beta)
     entries = [(d, c, *_g2_cells(c, geom)) for d, c in _discord_axis(cfg)]
     rows = []
     previous_sign = None
@@ -105,7 +105,7 @@ def _fig5_rows(cfg):
 
 
 def _transition_rows(cfg):
-    point = find_statistics_transition(DetectionGeometry.from_sin_beta(cfg.kl, cfg.sin_beta))
+    point = find_statistics_transition(DetectionGeometry(cfg.kl, cfg.sin_beta))
     if point is None:
         return [(cfg.kl, cfg.sin_beta, None, None, "none")]
     return [(cfg.kl, cfg.sin_beta, point.c_star, point.discord, "ok")]
@@ -115,8 +115,8 @@ def reference_table(cfg, suite_results):
     if cfg.command == "fig2":
         return ("D", "c", "sin_beta", "I"), _plane(cfg, lambda c, geom: (_intensity(c, geom),))
     if cfg.command == "fig3":
-        fwd = DetectionGeometry.from_sin_beta(cfg.kl, 1.0)
-        bwd = DetectionGeometry.from_sin_beta(cfg.kl, 0.0)
+        fwd = DetectionGeometry(cfg.kl, 1.0)
+        bwd = DetectionGeometry(cfg.kl, 0.0)
         return ("D", "c", "I_sinb1", "I_sinb0"), [
             (d, c, _intensity(c, fwd), _intensity(c, bwd))
             for d, c in _discord_axis(cfg)
@@ -242,7 +242,7 @@ def test_verify_table_is_byte_identical(fmt, suite_results, tmp_path, monkeypatc
 def test_emission_kernel_is_the_scalar_kernel_bit_for_bit(kl):
     # 12-digit output hides most last-ulp differences, so compare the values
     c = discord_to_c_array(np.linspace(0.0, 1.0, 101))
-    geoms = [DetectionGeometry.from_sin_beta(kl, float(s)) for s in np.linspace(-1.0, 1.0, 101)]
+    geoms = [DetectionGeometry(kl, float(s)) for s in np.linspace(-1.0, 1.0, 101)]
     e = werner_emission(c[:, None], np.array([[math.cos(g.phase) for g in geoms]]))
     for i, ci in enumerate(c.tolist()):
         for j, geom in enumerate(geoms):
