@@ -61,79 +61,56 @@ def discord_werner_closed(c: float) -> float:
     return d if d > 0.0 else 0.0
 
 
-def _embed_projectors(projs: np.ndarray, measured: int) -> np.ndarray:
-    """Lift a batch of single-atom projectors into the two-atom space."""
-    n = projs.shape[0]
-    out = np.zeros((n, 4, 4), dtype=complex)
-    if measured == 1:
-        out[:, 0::2, 0::2] = projs
-        out[:, 1::2, 1::2] = projs
-    else:
-        out[:, :2, :2] = projs
-        out[:, 2:, 2:] = projs
-    return out
+def _xlog2_array(x: np.ndarray) -> np.ndarray:
+    """x log2 x elementwise, with 0 log 0 = 0 (and 0 for x < 0)."""
+    positive = x > 0.0
+    return np.where(positive, x * np.log2(np.where(positive, x, 1.0)), 0.0)
 
 
-def _measurements(measured: int, thetas, phis) -> tuple[np.ndarray, np.ndarray]:
-    """The two branches of the projective measurement of atom ``measured``
-    along each Bloch direction (theta, phi): the projector P onto the
-    direction and I - P, each embedded in the two-atom space as an (n, 4, 4)
-    stack."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    kets = np.stack(
-        [np.cos(thetas / 2.0) + 0.0j, np.sin(thetas / 2.0) * np.exp(1j * phis)],
-        axis=-1,
-    )
-    projs = kets[:, :, None] * kets.conj()[:, None, :]
-    return _embed_projectors(projs, measured), _embed_projectors(ID2[None, :, :] - projs, measured)
-
-
-def _average_entropy(measurements: tuple[np.ndarray, np.ndarray], rho4: np.ndarray,
-                     measured: int) -> np.ndarray:
-    """Average post-measurement entropy of the unmeasured atom, one value per
-    direction of ``measurements`` (from ``_measurements``).
-
-    ``rho4`` is one (4, 4) state, shared by every direction, or an (n, 4, 4)
-    stack with one state per direction.  Each branch conjugates the state,
-    traces out the measured atom and weights the branch entropy by the branch
-    probability.
-    """
-    total = np.zeros(len(measurements[0]))
-    for m in measurements:
-        sub = m @ rho4 @ m
-        r = sub.reshape(-1, 2, 2, 2, 2)
-        reduced = np.einsum("nabac->nbc", r) if measured == 1 else np.einsum("nabcb->nac", r)
-        p = np.real(reduced[:, 0, 0] + reduced[:, 1, 1])
-        # 2x2 Hermitian spectrum in closed form: mean +/- half-gap
-        mean = 0.5 * p
-        gap = np.sqrt(
-            0.25 * np.real(reduced[:, 0, 0] - reduced[:, 1, 1]) ** 2
-            + np.abs(reduced[:, 0, 1]) ** 2
-        )
-        lam = np.stack([mean + gap, mean - gap], axis=-1)
-        safe_p = np.where(p > 1e-15, p, 1.0)
-        lam = np.clip(lam / safe_p[:, None], 0.0, None)
-        entropy = -np.sum(np.where(lam > 0.0, lam * np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0), axis=-1)
-        total += np.where(p > 1e-15, p * entropy, 0.0)
-    return total
+# sigma_0 = I, sigma_x, sigma_y, sigma_z, and each (sigma_i x sigma_j)^T:
+# tr(rho A) is the sum of the elementwise product of rho and A^T
+_PAULIS = np.array([ID2, [[0.0, 1.0], [1.0, 0.0]], PAULI_Y, [[1.0, 0.0], [0.0, -1.0]]], dtype=complex)
+_PAULI_PAIRS_T = np.array([[np.kron(s, t).T for t in _PAULIS] for s in _PAULIS])
 
 
 def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.ndarray:
-    """Average post-measurement entropy of the unmeasured atom.
+    """Average post-measurement entropy of the unmeasured atom, one value per
+    measurement direction (theta, phi) of atom ``measured``.
 
-    Vectorized over a batch of measurement directions (theta, phi), for one
-    (4, 4) state or an (n, 4, 4) stack with one state per direction.  Every
-    step acts on each row alone, with the conjugation ``m @ rho4 @ m`` a
-    batched product per row, so a row's value does not depend on the rest of
-    the batch, bit for bit; ``discord_numerics`` relies on that when it
-    batches its scan and the pattern searches of all its members.
+    ``rho4`` is one (4, 4) state, shared by every direction, or an (n, 4, 4)
+    stack with one state per direction.  In the Pauli coefficients
+    c_ij = tr(rho sigma_i x sigma_j), with a the unmeasured atom's Bloch
+    vector, b the measured atom's and T their correlation matrix (unmeasured
+    x measured), the outcome +-n has probability p = (1 +- b.n)/2 and leaves
+    the eigenvalues 1/2 +- |a +- T n|/(4p) (Luo, PRA 77, 042303).  Every step
+    is an elementwise real ufunc on each row alone, written out term by term,
+    so a row's value does not depend on the rest of the batch, bit for bit;
+    ``discord_numerics`` relies on that when it batches the pattern searches
+    of all its members.
     """
-    return _average_entropy(_measurements(measured, thetas, phis), rho4, measured)
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    c = (np.asarray(rho4)[..., None, None, :, :] * _PAULI_PAIRS_T).sum(axis=(-2, -1)).real
+    if measured == 1:
+        # rows index the unmeasured atom, columns the measured one
+        c = c.swapaxes(-1, -2)
+    n1 = np.sin(thetas) * np.cos(phis)
+    n2 = np.sin(thetas) * np.sin(phis)
+    n3 = np.cos(thetas)
+    b_n = c[..., 0, 1] * n1 + c[..., 0, 2] * n2 + c[..., 0, 3] * n3
+    a = [c[..., i, 0] for i in (1, 2, 3)]
+    t_n = [c[..., i, 1] * n1 + c[..., i, 2] * n2 + c[..., i, 3] * n3 for i in (1, 2, 3)]
+    total = np.zeros(thetas.shape)
+    for sign in (1.0, -1.0):
+        p = 0.5 * (1.0 + sign * b_n)
+        v1, v2, v3 = (a[i] + sign * t_n[i] for i in range(3))
+        live = p > 1e-15
+        half_gap = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3) / (4.0 * np.where(live, p, 1.0))
+        entropy = -(_xlog2_array(0.5 + half_gap) + _xlog2_array(0.5 - half_gap))
+        total += np.where(live, p * entropy, 0.0)
+    return total
 
 
-# measurement directions per _measurements call in the grid scan
-_SCAN_CHUNK = 512
 # discord_numeric scans a DISCORD_GRID x DISCORD_GRID grid of Bloch angles;
 # its pattern search stops once a sweep gains less than DISCORD_TOL, and
 # reports unconverged after DISCORD_MAX_DEPTH sweeps
@@ -170,8 +147,8 @@ def discord_numerics(stack, measured: int = 2) -> list[DiscordResult]:
     """``discord_numeric`` of each state of a (k, 4, 4) stack, such as
     ``x_states`` returns, bit for bit: one ``DiscordResult`` per member.
 
-    The grid scan runs chunk by chunk, and each chunk's measurements are built
-    once for every member.  The members' pattern searches run in lockstep:
+    Each member's grid scan is one ``_conditional_entropy`` call over the
+    whole grid.  The members' pattern searches then run in lockstep:
     each round evaluates the pending moves of every unfinished member in one
     ``_conditional_entropy`` call, one state per row, while each member keeps
     its own step, best point, stop test and evaluation count.
@@ -187,26 +164,12 @@ def discord_numerics(stack, measured: int = 2) -> list[DiscordResult]:
     # theta-major layout so the first minimum is the lexicographically lowest
     tt, pp = np.meshgrid(theta_axis, phi_axis, indexing="ij")
     thetas, phis = tt.ravel(), pp.ravel()
-    # chunked to bound the complex temporaries; per member, the first chunk
-    # whose minimum is least holds the first minimum of the whole scan
-    starts = range(0, thetas.size, _SCAN_CHUNK)
-    chunk_min = np.empty((len(states), len(starts)))
-    chunk_arg = np.empty((len(states), len(starts)), dtype=np.intp)
-    for c, start in enumerate(starts):
-        part = slice(start, start + _SCAN_CHUNK)
-        measurements = _measurements(measured, thetas[part], phis[part])
-        for j, rho4 in enumerate(states):
-            values = _average_entropy(measurements, rho4, measured)
-            k = int(np.argmin(values))
-            chunk_min[j, c], chunk_arg[j, c] = values[k], start + k
-    members = np.arange(len(states))
-    first = np.argmin(chunk_min, axis=1)
-    best_fs, best = chunk_min[members, first], chunk_arg[members, first]
-    optima = _in_lockstep(
-        [_pattern_search(float(f), float(thetas[b]), float(phis[b])) for f, b in zip(best_fs, best)],
-        states,
-        measured,
-    )
+    searches = []
+    for rho4 in states:
+        values = _conditional_entropy(rho4, measured, thetas, phis)
+        k = int(np.argmin(values))
+        searches.append(_pattern_search(float(values[k]), float(thetas[k]), float(phis[k])))
+    optima = _in_lockstep(searches, states, measured)
     return [
         DiscordResult(s_m - s_t + best_f, angles, evaluations, converged)
         for s_m, s_t, (best_f, angles, evaluations, converged) in zip(s_measured, s_total, optima)
@@ -365,11 +328,6 @@ def discord_to_c(d: float) -> float:
 # a bisection decision whose residual lies this close to 0 or to tol may flip
 # when np.log2 and math.log2 differ in the last ulp
 _RESIDUAL_GUARD = 1e-12
-
-
-def _xlog2_array(x: np.ndarray) -> np.ndarray:
-    positive = x > 0.0
-    return np.where(positive, x * np.log2(np.where(positive, x, 1.0)), 0.0)
 
 
 def discord_to_c_array(d: np.ndarray) -> np.ndarray:

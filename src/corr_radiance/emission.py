@@ -164,11 +164,9 @@ def g2_oracle(
     intensity = _real_traces(stack, ep, "intensity")
     defined = ~(intensity < UNDEFINED_INTENSITY_TOL)
     numerator = _real_traces(stack, ep @ ep, "photon-pair rate", defined)
-    # Python floats, so that i**2 is libm pow for every member
-    g2 = np.array([
-        n / i**2 if ok else math.nan
-        for n, i, ok in zip(numerator.tolist(), intensity.tolist(), defined.tolist())
-    ])
+    # squared as I * I, correctly rounded, as in x_emission
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g2 = np.where(defined, numerator / (intensity * intensity), np.nan)
     if isinstance(rho, DensityMatrix):
         return float(g2[0]) if defined[0] else None
     return g2

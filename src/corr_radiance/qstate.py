@@ -114,8 +114,7 @@ class DensityCheck:
 # 4x4 complex matrices and each temporary made from it stay within 256 KiB.
 # glibc raises its mmap threshold to the largest block freed so far and trims
 # a heap top of twice that; a whole 3,101-state stack left about 1.2 MB of
-# resident heap, and a chunk of 256 left the threshold so low that each
-# 128 KiB temporary of the discord scan was faulted in afresh
+# resident heap
 _STACK_CHUNK = 1024
 
 

@@ -1,10 +1,10 @@
 """The verify suites share work without changing a bit of any result.
 
-``discord_numerics`` evaluates its grid scan in chunks and the pattern
-searches of all its members in lockstep batches, and ``discord_numeric`` is
-its stack of one; ``reference_discord_numeric`` below is the
-one-move-at-a-time, one-call scan of one state they replace, and all three
-must agree in every field of ``DiscordResult``.  They rest on
+``discord_numerics`` evaluates the pattern searches of all its members in
+lockstep batches, and ``discord_numeric`` is its stack of one;
+``reference_discord_numeric`` below is the one-move-at-a-time search of one
+state they replace, and all three must agree in every field of
+``DiscordResult``.  They rest on
 ``_conditional_entropy`` giving each row of a batch exactly the value of a
 one-row call, whether the rows share one state or each has its own.
 ``concurrences_wootters`` gives each member its one-state value.  The
@@ -48,7 +48,7 @@ from corr_radiance.qstate import (
 
 
 def reference_discord_numeric(rho, measured=2, grid=64, tol=1e-8, max_depth=50):
-    """``discord_numeric`` with one unchunked scan and one call per move."""
+    """``discord_numeric`` with one call per move."""
     rho4 = rho.mat
     s_total = von_neumann_entropy(rho)
     s_measured = von_neumann_entropy(partial_trace(rho, keep=measured))
@@ -162,26 +162,26 @@ def test_an_empty_stack_has_no_optima_and_a_bad_shape_raises():
 
 
 def record_measurement_sizes(monkeypatch) -> list[int]:
-    """The number of directions of each ``_measurements`` call from now on."""
+    """The number of directions of each ``_conditional_entropy`` call from now on."""
     sizes = []
-    build = correlations._measurements
+    evaluate = correlations._conditional_entropy
 
-    def recording(measured, thetas, phis):
-        measurements = build(measured, thetas, phis)
-        sizes.append(len(measurements[0]))
-        return measurements
+    def recording(rho4, measured, thetas, phis):
+        values = evaluate(rho4, measured, thetas, phis)
+        sizes.append(len(values))
+        return values
 
-    monkeypatch.setattr(correlations, "_measurements", recording)
+    monkeypatch.setattr(correlations, "_conditional_entropy", recording)
     return sizes
 
 
 def test_the_cases_reach_every_batch_size(monkeypatch):
     # a batch of fewer than 4 moves is the re-evaluation after an accepted move;
-    # the scan builds its measurements 512 directions at a time
+    # the scan evaluates all 4,096 grid directions in one call
     sizes = record_measurement_sizes(monkeypatch)
-    for params in (XStateParams(-0.6, -0.6, -0.2), XStateParams(-1.0, -0.6, -0.6)):
+    for params in (XStateParams(-0.8, -0.8, -0.6), XStateParams(-1.0, -0.8, -0.8)):
         discord_numeric(make_x_state(params))
-    assert set(sizes) == {1, 2, 3, 4, 512}
+    assert set(sizes) == {1, 2, 3, 4, 4096}
 
 
 def test_lockstep_rounds_evaluate_the_moves_of_every_member_together(monkeypatch):
@@ -191,13 +191,13 @@ def test_lockstep_rounds_evaluate_the_moves_of_every_member_together(monkeypatch
     for rho4 in stack:
         sizes.clear()
         discord_numeric(DensityMatrix(rho4))
-        alone.append([size for size in sizes if size != 512])
+        alone.append([size for size in sizes if size != 4096])
     sizes.clear()
     discord_numerics(stack, 2)
-    # the 8 scan chunks are built once for all 11 members, and each round
-    # holds the next batch of moves of every member still searching
-    assert sizes.count(512) == 8
-    rounds = [size for size in sizes if size != 512]
+    # one scan of the whole grid per member, and each round holds the next
+    # batch of moves of every member still searching
+    assert sizes.count(4096) == 11
+    rounds = [size for size in sizes if size != 4096]
     assert len(rounds) == max(map(len, alone))
     assert rounds == [sum(batches[i] for batches in alone if i < len(batches)) for i in range(len(rounds))]
 
@@ -301,9 +301,11 @@ KERNEL_CASES = (
     reason="needs a DYNAMIC_ARCH OpenBLAS and a CPU with AVX2 and FMA",
 )
 def test_stacked_and_one_state_results_agree_under_the_haswell_kernel():
-    # another OpenBLAS kernel may round the 4x4 products differently, so the
-    # bit-for-bit comparisons run again under Haswell's, the kernel of AVX2
-    # machines; a CPU without AVX2 and FMA cannot run it
+    # the discord objective calls no BLAS, but another OpenBLAS kernel may
+    # round concurrences_wootters' 4x4 product or the LAPACK eigenvalue calls
+    # (eigvalsh, eigvals) differently, so the bit-for-bit comparisons run
+    # again under Haswell's, the kernel of AVX2 machines; a CPU without AVX2
+    # and FMA cannot run it
     src = Path(correlations.__file__).resolve().parents[1]
     env = {
         **os.environ,

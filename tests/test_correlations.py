@@ -7,6 +7,7 @@ import pytest
 
 from corr_radiance.correlations import (
     CorrelationClass,
+    _conditional_entropy,
     classify_correlations,
     concurrence_closed,
     concurrence_wootters,
@@ -75,6 +76,42 @@ class TestDiscordNumeric:
         rho = make_werner(0.5)
         with pytest.raises(ValueError):
             discord_numeric(rho, measured=3)
+
+
+def entropy_after_measurement(rho4, measured, theta, phi) -> float:
+    """The average post-measurement entropy of the unmeasured atom by its
+    definition: the branches are Pi = P x I or I x P with P = |k><k|,
+    k = (cos theta/2, e^(i phi) sin theta/2), and I - Pi; each has probability
+    p = tr(Pi rho) and leaves tr_measured(Pi rho Pi)/p."""
+    k = np.array([math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)])
+    proj = np.outer(k, k.conj())
+    total = 0.0
+    for branch in (proj, np.eye(2) - proj):
+        pi = np.kron(branch, np.eye(2)) if measured == 1 else np.kron(np.eye(2), branch)
+        p = np.trace(pi @ rho4).real
+        # indices (atom 1, atom 2, atom 1', atom 2')
+        sub = (pi @ rho4 @ pi).reshape(2, 2, 2, 2)
+        reduced = np.einsum("abac->bc", sub) if measured == 1 else np.einsum("abcb->ac", sub)
+        lam = np.linalg.eigvalsh(reduced / p)
+        lam = lam[lam > 0.0]
+        total += p * -np.sum(lam * np.log2(lam))
+    return total
+
+
+@pytest.mark.parametrize("measured", [1, 2])
+@pytest.mark.parametrize("seed", range(8))
+def test_conditional_entropy_is_the_operator_definition(seed, measured):
+    # full-rank states off the X family, whose correlation matrix is not
+    # symmetric, so swapping the atoms' roles must transpose it
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho4 = z @ z.conj().T
+    rho4 /= np.trace(rho4).real
+    thetas = rng.uniform(0.0, math.pi, 64)
+    phis = rng.uniform(0.0, 2.0 * math.pi, 64)
+    values = _conditional_entropy(rho4, measured, thetas, phis)
+    expected = [entropy_after_measurement(rho4, measured, t, p) for t, p in zip(thetas, phis)]
+    np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-13)
 
 
 class TestConcurrence:

@@ -48,22 +48,22 @@ TABLES = {
     ("transition", "csv", 401, 401): "83177ef92d3bdb758c2368b37fc5bba14df0db47a83e3dcc85eb6c738ecc71a4",
     ("transition", "json", 101, 101): "add1ed26c42278358ce5df4fa1d8ce84dbd925f9d4892e2377e2825557d70eb8",
     ("transition", "json", 401, 401): "b0cd7b1022e460a8396d57026adb6c4075bb6025763e997c3b0a2b195fcb8edc",
-    ("verify", "csv", 101, 101): "77bae0d6e2b4a80995c96bf7e11256e716945c93ee725b47ed8fe3ade7743c79",
-    ("verify", "csv", 401, 401): "77bae0d6e2b4a80995c96bf7e11256e716945c93ee725b47ed8fe3ade7743c79",
-    ("verify", "json", 101, 101): "ac159a88d7c39eeb84518e0714f1cbe750ab6ab3da98d152e288994157896548",
-    ("verify", "json", 401, 401): "9b4542b0c6fce98f158eef91c3a97ff4bc2fd0fac7177bb5962b796a783538ab",
+    ("verify", "csv", 101, 101): "73355af59b9f9c4e41df1f2f426066d6cd1ed6bbc90153aa78987ddedbdc0292",
+    ("verify", "csv", 401, 401): "73355af59b9f9c4e41df1f2f426066d6cd1ed6bbc90153aa78987ddedbdc0292",
+    ("verify", "json", 101, 101): "e1ab2e4c86be4f4ab2490b36200a0ed17d9b98fc43fba57bc89e204036e686a4",
+    ("verify", "json", 401, 401): "e67b40d49fcc71d02ea50b59286a746541d60cd3bde5eb5e642760c5ab4b7238",
 }
 
 # --format -> SHA-256 of the table of ``verify --tol-scale 0``
 FAILING_VERIFY_TABLES = {
-    "csv": "041713314179cf901a835e1a55d36d82ffd17d22556587d5a4ec58312e75ab59",
-    "json": "48c2129e98b43c16910f82ffd654e82a95ca1bf784482a0f2cb853164eecc8ff",
+    "csv": "a0acd61b71512900b07ae8b77f20d39d1c795bdc9bd590971f7f1d09f0138040",
+    "json": "34b6c33672cf785b3e8889996f291f9f443d9b1e0316ad33a99262a4a0a21f6e",
 }
 
 # --tol-scale -> (exit status, SHA-256 of what ``verify`` prints)
 VERIFY_STDOUT = {
-    "1": (EXIT_OK, "d819b19a1d504d57ed691194127b1572f2774c3188d115962b218f2e2219d7f3"),
-    "0": (EXIT_VERIFY, "f1ae6cb160ef0372da313d7c04e20c8656d4abd4e32a5ec2a60e2529d337d1a7"),
+    "1": (EXIT_OK, "371f2b663f3a219eadee7c50f3a1ec8821fc046e7c0abdee00e0a90dfde02eb5"),
+    "0": (EXIT_VERIFY, "b42c8a80f67eaa6319d55b9affd72e74582ba16ac5dceef2d59c993540ca8164"),
 }
 
 
@@ -112,13 +112,34 @@ def openblas_kernels() -> list[str]:
     return [kernel for kernel, flag_set in needs.items() if flag_set <= flags]
 
 
-@pytest.mark.skipif(not dynamic_arch_openblas(), reason="needs a DYNAMIC_ARCH OpenBLAS")
+def numpy_simd_features() -> list[str]:
+    """The SIMD features numpy picks its loops for at run time that this CPU
+    has, by NPY_DISABLE_CPU_FEATURES name."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [feature for feature in umath.__cpu_dispatch__ if umath.__cpu_features__.get(feature)]
+
+
+def kernel_environments() -> list[dict[str, str]]:
+    """Each OpenBLAS kernel this CPU can run, when numpy's OpenBLAS picks one
+    at run time, and numpy with every run-time SIMD feature switched off."""
+    envs = [{"OPENBLAS_CORETYPE": kernel} for kernel in openblas_kernels()] if dynamic_arch_openblas() else []
+    features = numpy_simd_features()
+    if features:
+        envs.append({"NPY_DISABLE_CPU_FEATURES": " ".join(features)})
+    return envs
+
+
+@pytest.mark.skipif(not kernel_environments(),
+                    reason="needs a DYNAMIC_ARCH OpenBLAS or a SIMD feature numpy can switch off")
 def test_verify_stdout_bytes_do_not_depend_on_the_blas_kernel():
     src = str(Path(corr_radiance.__file__).resolve().parents[1])
-    for kernel in openblas_kernels():
+    for kernel in kernel_environments():
         env = {
             **os.environ,
-            "OPENBLAS_CORETYPE": kernel,
+            **kernel,
             "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
         }
         run = subprocess.run([sys.executable, "-m", "corr_radiance.cli", "verify"],
