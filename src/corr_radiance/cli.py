@@ -299,8 +299,9 @@ def _write_file(table: Table, cfg: RunConfig, out: str) -> None:
 
 def _discord_axis(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     d = np.linspace(0.0, 1.0, cfg.grid_d)
-    # one scalar discord_to_c call per row, not discord_to_c_array: the
-    # benchmark pins the traced call count to the number of axis rows
+    # one scalar discord_to_c call per row, as the benchmark's traced call
+    # count expects; each call evaluates the closed form only at the few
+    # bisection steps its certified window leaves open
     return d, np.fromiter(map(discord_to_c, map(float, d)), float, d.size)
 
 

@@ -294,7 +294,7 @@ def find_statistics_transition(geom: DetectionGeometry) -> TransitionPoint | Non
     cos_phi = geom.cos_phase
     if cos_phi <= 0.5:
         return None
-    c_star = (2.0 * cos_phi - 1.0) / cos_phi**2
+    c_star = (2.0 * cos_phi - 1.0) / (cos_phi * cos_phi)
     if not 0.0 < c_star < 1.0:
         return None
     if x_intensity(-c_star, cos_phi) < UNDEFINED_INTENSITY_TOL:

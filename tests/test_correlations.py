@@ -11,6 +11,7 @@ from corr_radiance.correlations import (
     classify_correlations,
     concurrence_closed,
     concurrence_wootters,
+    concurrences_wootters,
     discord_numeric,
     discord_to_c,
     discord_werner_closed,
@@ -114,6 +115,19 @@ def test_conditional_entropy_is_the_operator_definition(seed, measured):
     np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-13)
 
 
+def _complex_amplitudes() -> list[np.ndarray]:
+    """Fixed normalised two-atom pure states with complex amplitudes in the
+    basis 00, 01, 10, 11; the fourth is an X state with a complex coherence."""
+    amplitudes = [
+        [0.6 + 0.2j, 0.1 - 0.3j, -0.25 + 0.4j, 0.5j],
+        [1.0, 0.3j, -0.2 + 0.1j, 0.7 - 0.7j],
+        [0.5 - 0.5j, 0.5j, 0.0, 0.5],
+        [0.8, 0.0, 0.0, 0.6j],
+        [0.3 + 0.1j, -0.7j, 0.2 + 0.6j, -0.1],
+    ]
+    return [np.array(a) / np.linalg.norm(a) for a in amplitudes]
+
+
 class TestConcurrence:
     def test_closed_form_reference_points(self):
         assert concurrence_closed(0.0) == 0.0
@@ -139,6 +153,25 @@ class TestConcurrence:
                   XStateParams(0.9, -0.9, 0.9)]:
             expected = max(0.0, 2.0 * max(p.bell_eigenvalues()) - 1.0)
             assert concurrence_wootters(make_x_state(p)) == pytest.approx(expected, abs=1e-10)
+
+    def test_complex_pure_states(self):
+        # C = 2|psi00 psi11 - psi01 psi10|.  Each state has rank one, so the
+        # three zero eigenvalues of rho (YY) rho* (YY) come out near 1e-17
+        # and their square roots near 1e-8, which sets the tolerance
+        psis = _complex_amplitudes()
+        got = concurrences_wootters(np.array([np.outer(psi, psi.conj()) for psi in psis]))
+        expected = [2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2]) for psi in psis]
+        assert got == pytest.approx(expected, abs=1e-7)
+
+    def test_complex_states_mixed_with_white_noise(self):
+        # p |psi><psi| + (1 - p) I/4 is, up to local unitaries, an X state
+        # with concurrence max{0, p C_psi - (1 - p)/2}; it has full rank
+        p = 0.9
+        psis = _complex_amplitudes()
+        stack = np.array([p * np.outer(psi, psi.conj()) + 0.25 * (1.0 - p) * np.eye(4) for psi in psis])
+        expected = [max(0.0, 2.0 * p * abs(psi[0] * psi[3] - psi[1] * psi[2]) - 0.5 * (1.0 - p)) for psi in psis]
+        assert concurrences_wootters(stack) == pytest.approx(expected, abs=1e-12)
+        assert concurrence_wootters(DensityMatrix(stack[0])) == pytest.approx(expected[0], abs=1e-12)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

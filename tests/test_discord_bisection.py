@@ -3,14 +3,20 @@
 ``reference_discord_to_c`` below is the bisection that evaluates the closed
 form at every step, and ``reference_discord_werner_closed`` the closed form
 with one helper call per x log2 x term.  ``discord_to_c`` finds its first
-bracket with ``bisect`` on an ascending table shared by every target, and
-``discord_werner_closed`` writes the terms inline; neither may move a single
-bit of a result.
+bracket with ``bisect`` on an ascending table shared by every target, then
+skips the evaluation at every later step whose outcome a certified window
+around the root decides, and ``discord_werner_closed`` writes the terms
+inline; none of this may move a single bit of a result.  The window rests on
+``_CLOSED_FORM_ERROR`` bounding the closed form's error, which is checked
+here against a 40-digit ``decimal`` evaluation, and it must save evaluations:
+the count per target is pinned on the 25001-point axis.
 """
 
 import inspect
 import math
 import random
+from bisect import bisect_left
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -88,7 +94,7 @@ def tiny_targets(n: int = 2000) -> list[float]:
     return [1e-6 * (1.0 - rng.random()) for _ in range(n)] + [1e-6, 1e-12, 1e-17, 1e-30]
 
 
-@pytest.mark.parametrize("points", [2, 11, 101, 401, 4097, 25001])
+@pytest.mark.parametrize("points", [2, 11, 101, 401, 4097, 10001, 25001])
 def test_linspace_axes_match_the_reference(points):
     assert_same_bits(np.linspace(0.0, 1.0, points).tolist())
 
@@ -171,3 +177,72 @@ def test_the_shared_table_holds_the_closed_form_at_each_midpoint_in_ascending_or
         assert values[k - 1].hex() == reference_discord_werner_closed(k / size).hex(), k
     # bisect reproduces the bisection's descent only on a strictly increasing table
     assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def certified_window(d: float) -> tuple[float, float]:
+    """The window ``discord_to_c`` computes for the target ``d`` in (0, 1)."""
+    return correlations._certified_window(d, bisect_left(correlations._shared_midpoint_values(), d))
+
+
+# the root estimate leaves its table cell or fails a probe: every step evaluates
+FALLBACK_TARGETS = [1.0 - 1e-13, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53, 1e-8, 1e-12, 1e-17, 1e-300, 5e-324]
+
+
+def test_targets_without_a_window_match_the_reference():
+    assert [certified_window(d) for d in FALLBACK_TARGETS] == [correlations._NO_WINDOW] * len(FALLBACK_TARGETS)
+    assert_same_bits(FALLBACK_TARGETS)
+
+
+def test_targets_next_to_the_ends_match_the_reference():
+    # within 1e-12 of 1, and below 1e-7, where D' -> 0 and the estimate fails
+    rng = random.Random(37)
+    assert_same_bits([1.0 - 1e-12 * rng.random() for _ in range(2000)] + [1e-7 * rng.random() for _ in range(2000)])
+
+
+def test_seeded_targets_at_every_scale_match_the_reference():
+    # log-uniform distances from 0 and from 1, so the windows meet every
+    # slope and curvature the curve has
+    rng = random.Random(31)
+    targets = [10.0 ** rng.uniform(-20.0, 0.0) for _ in range(50_000)]
+    targets += [1.0 - 10.0 ** rng.uniform(-16.0, 0.0) for _ in range(50_000)]
+    assert_same_bits(targets)
+
+
+def test_the_axis_evaluates_few_closed_forms_per_target(monkeypatch):
+    # the plain bisection evaluates 19 per target on this axis
+    correlations._shared_midpoint_values()
+    closed = correlations.discord_werner_closed
+    calls = 0
+
+    def counted(c):
+        nonlocal calls
+        calls += 1
+        return closed(c)
+
+    monkeypatch.setattr(correlations, "discord_werner_closed", counted)
+    axis = np.linspace(0.0, 1.0, 25001).tolist()
+    for d in axis:
+        discord_to_c(d)
+    assert calls <= 6 * len(axis)
+
+
+def exact_discord(c: float) -> Decimal:
+    """The Werner discord at the float ``c``, to 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(c)
+        ln2 = Decimal(2).ln()
+
+        def xlog2(y: Decimal) -> Decimal:
+            return y * y.ln() / ln2 if y > 0 else Decimal(0)
+
+        return xlog2(1 - x) / 4 - xlog2(1 + x) / 2 + xlog2(1 + 3 * x) / 4
+
+
+def test_the_closed_form_error_is_a_hundredth_of_its_bound():
+    cs = [k / 2000 for k in range(2001)]
+    cs += [2.0 ** -k for k in range(1, 41)]
+    cs += [1.0 - 2.0 ** -k for k in range(1, 54)]
+    cs += [1.0 / 3.0]
+    worst = max(abs(Decimal(discord_werner_closed(c)) - exact_discord(c)) for c in cs)
+    assert worst <= Decimal(correlations._CLOSED_FORM_ERROR) / 100

@@ -1,6 +1,7 @@
 """Field operator, intensity, photon statistics, and the regime solvers."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -304,6 +305,20 @@ class TestStatisticsTransition:
             else:
                 hi = mid
         assert abs(0.5 * (lo + hi) - point.c_star) <= 1e-8
+
+    def test_c_star_squares_cos_phi_by_multiplication(self):
+        # c* = (2x - 1)/(x*x) bit for bit, x = cos phi; the draws include
+        # x where libm's x**2 differs from the correctly rounded x*x
+        rng = random.Random(29)
+        geoms = [DetectionGeometry(PI, rng.uniform(-1.0, 1.0)) for _ in range(30_000)]
+        crossing = [g for g in geoms if 0.5 < g.cos_phase < 1.0]
+        pow_differs = [g for g in crossing if g.cos_phase**2 != g.cos_phase * g.cos_phase]
+        assert pow_differs
+        for geom in crossing[:200] + pow_differs:
+            x = geom.cos_phase
+            point = find_statistics_transition(geom)
+            assert point is not None
+            assert point.c_star.hex() == ((2.0 * x - 1.0) / (x * x)).hex(), geom
 
     def test_discord_at_transition_is_the_closed_form(self):
         geom = DetectionGeometry(PI, 0.31)
