@@ -18,8 +18,8 @@ from math import log2
 import numpy as np
 
 from .qstate import (
-    ID2,
     PAULI_Y,
+    PAULIS,
     DensityMatrix,
     eigenvalue_entropy,
     partial_traces,
@@ -67,10 +67,9 @@ def _xlog2_array(x: np.ndarray) -> np.ndarray:
     return np.where(positive, x * np.log2(np.where(positive, x, 1.0)), 0.0)
 
 
-# sigma_0 = I, sigma_x, sigma_y, sigma_z, and each (sigma_i x sigma_j)^T:
-# tr(rho A) is the sum of the elementwise product of rho and A^T
-_PAULIS = np.array([ID2, [[0.0, 1.0], [1.0, 0.0]], PAULI_Y, [[1.0, 0.0], [0.0, -1.0]]], dtype=complex)
-_PAULI_PAIRS_T = np.array([[np.kron(s, t).T for t in _PAULIS] for s in _PAULIS])
+# each (sigma_i x sigma_j)^T, with sigma_0 = I: tr(rho A) is the sum of the
+# elementwise product of rho and A^T
+_PAULI_PAIRS_T = np.array([[np.kron(s, t).T for t in PAULIS] for s in PAULIS])
 
 
 def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.ndarray:

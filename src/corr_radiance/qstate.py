@@ -26,8 +26,13 @@ KET_E = np.array([1.0, 0.0], dtype=complex)
 KET_G = np.array([0.0, 1.0], dtype=complex)
 BASIS_LABELS = ("ee", "eg", "ge", "gg")
 
-ID2 = np.eye(2, dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+# sigma_0 = I, sigma_x, sigma_y, sigma_z
+PAULIS = np.array(
+    [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
+     [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]],
+    dtype=complex,
+)
+ID2, PAULI_Y = PAULIS[0], PAULIS[2]
 
 LOWERING = np.outer(KET_G, KET_E.conj())  # |g><e|
 

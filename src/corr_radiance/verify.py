@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ginibre import GINIBRE_PAIRS
 from .correlations import (
     DiscordResult,
     concurrence_closed,
@@ -43,6 +42,7 @@ from .emission import (
     x_intensity,
 )
 from .qstate import (
+    PAULIS,
     XStateParams,
     excitation_probabilities,
     make_werner,
@@ -135,18 +135,36 @@ def suite_lowering_algebra() -> SuiteResult:
     return _result("lowering operators nilpotent and commuting", dev, 0.0)
 
 
+def _entangling_unitaries(n: int = 20) -> np.ndarray:
+    """n fixed entangling two-atom unitaries as an (n, 4, 4) stack.
+
+    U_k = prod_j (cos w_kj I + i sin w_kj P_j) over the 15 Pauli products
+    P_j = sigma_a x sigma_b other than I x I, in (a, b) order, with
+    w_kj = 2 pi frac(j k (sqrt 5 - 1)/2) for k = 1..n.  Since P_j^2 = I, each
+    factor is exactly exp(i w_kj P_j).  The factors' entries are libm's cos
+    and sin up to sign, and the product is an einsum, which calls no BLAS, so
+    the bytes of U do not depend on the BLAS kernel.
+    """
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    angles = [[2.0 * math.pi * (j * k * golden % 1.0) for j in range(1, 16)] for k in range(1, n + 1)]
+    cos = np.array([[math.cos(w) for w in row] for row in angles])[..., None, None]
+    sin = np.array([[math.sin(w) for w in row] for row in angles])[..., None, None]
+    products = np.array([np.kron(s, t) for s in PAULIS for t in PAULIS])[1:]
+    factors = cos * np.eye(4) + 1j * sin * products
+    u = factors[:, 0]
+    for j in range(1, 15):
+        u = np.einsum("kab,kbc->kac", u, factors[:, j])
+    return u
+
+
 def suite_entropy_unitary_invariance() -> SuiteResult:
     states = [make_werner(0.3).mat, make_x_state(XStateParams(0.5, 0.5, -0.5)).mat]
+    us = _entangling_unitaries()
     dev = 0.0
-    for real, imag in np.array(GINIBRE_PAIRS):
-        z = real + 1j * imag
-        q, r = np.linalg.qr(z)
-        u = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-        for mat in states:
-            dev = max(
-                dev,
-                abs(von_neumann_entropy(u @ mat @ u.conj().T) - von_neumann_entropy(mat)),
-            )
+    for mat in states:
+        # U rho U^dagger by einsum too: @ would call the BLAS kernel
+        for rotated in np.einsum("kab,bc,kdc->kad", us, mat, us.conj()):
+            dev = max(dev, abs(von_neumann_entropy(rotated) - von_neumann_entropy(mat)))
     return _result("entropy invariant under unitaries", dev, 1e-10)
 
 

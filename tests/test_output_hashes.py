@@ -132,16 +132,21 @@ def kernel_environments() -> list[dict[str, str]]:
     return envs
 
 
+def run_under(kernel: dict[str, str], args: list[str]) -> subprocess.CompletedProcess:
+    """``python *args`` in a child with ``kernel`` in its environment and this
+    package's source first on its path."""
+    src = str(Path(corr_radiance.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        **kernel,
+        "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    }
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=300)
+
+
 @pytest.mark.skipif(not kernel_environments(),
                     reason="needs a DYNAMIC_ARCH OpenBLAS or a SIMD feature numpy can switch off")
 def test_verify_stdout_bytes_do_not_depend_on_the_blas_kernel():
-    src = str(Path(corr_radiance.__file__).resolve().parents[1])
     for kernel in kernel_environments():
-        env = {
-            **os.environ,
-            **kernel,
-            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
-        }
-        run = subprocess.run([sys.executable, "-m", "corr_radiance.cli", "verify"],
-                             env=env, capture_output=True, timeout=300)
+        run = run_under(kernel, ["-m", "corr_radiance.cli", "verify"])
         assert (run.returncode, sha256(run.stdout)) == VERIFY_STDOUT["1"], kernel
