@@ -12,7 +12,6 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from math import log2
 
 import numpy as np
@@ -25,16 +24,6 @@ from .qstate import (
     partial_traces,
     two_atom_stack,
 )
-
-# snap window for the separability threshold c = 1/3
-CLASS_BOUNDARY_TOL = 1e-12
-
-
-class CorrelationClass(Enum):
-    CLASSICAL = "classical"
-    DISCORDANT_SEPARABLE = "discordant_separable"
-    ENTANGLED = "entangled"
-
 
 @dataclass(frozen=True)
 class DiscordResult:
@@ -449,13 +438,3 @@ def discord_to_c_array(d: np.ndarray) -> np.ndarray:
         c[i] = discord_to_c(float(d[i]))
     return c
 
-
-def classify_correlations(c: float) -> CorrelationClass:
-    """Correlation regime of the Werner state: classical, discordant, entangled."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"Werner parameter c = {c} lies outside [0, 1]")
-    if c <= CLASS_BOUNDARY_TOL:
-        return CorrelationClass.CLASSICAL
-    if c <= 1.0 / 3.0 + CLASS_BOUNDARY_TOL:
-        return CorrelationClass.DISCORDANT_SEPARABLE
-    return CorrelationClass.ENTANGLED

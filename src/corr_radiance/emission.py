@@ -288,34 +288,15 @@ def find_statistics_transition(geom: DetectionGeometry) -> TransitionPoint | Non
     """Werner parameter where g2 crosses 1, if a crossing exists in (0, 1).
 
     Setting (1 - c cos phi)^2 = 1 - c gives c* = (2 cos phi - 1)/cos^2 phi,
-    which lies in (0, 1) exactly when cos phi is in (1/2, 1).  A bisection on
-    the same equation cross-checks the algebra before the root is returned.
+    which lies in (0, 1) exactly when cos phi is in (1/2, 1).  Above 1/2,
+    2 cos phi - 1 is exact and positive, so c* > 0; within about 1e-8 of
+    cos phi = 1, c* rounds to 1.  Where c* < 1, the intensity at c*,
+    (1 - cos phi)/cos phi, is about 1e-8 or more, so g2 is defined there.
     """
     cos_phi = geom.cos_phase
     if cos_phi <= 0.5:
         return None
     c_star = (2.0 * cos_phi - 1.0) / (cos_phi * cos_phi)
-    if not 0.0 < c_star < 1.0:
+    if c_star >= 1.0:
         return None
-    if x_intensity(-c_star, cos_phi) < UNDEFINED_INTENSITY_TOL:
-        return None
-
-    def excess(c: float) -> float:
-        bracket = x_intensity(-c, cos_phi)
-        return (1.0 - c) - bracket * bracket
-
-    # excess is concave with excess(0) = 0, so it is positive on (0, c*)
-    # and negative beyond: bracket the sign change and bisect
-    lo, hi = 0.5 * c_star, 1.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    if abs(root - c_star) > 1e-8:
-        raise RuntimeError(
-            f"transition solver disagreement: closed root {c_star}, bisection {root}"
-        )
     return TransitionPoint(c_star, discord_werner_closed(c_star))

@@ -230,10 +230,6 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {a.shape}")
         object.__setattr__(self, "mat", _frozen_valid(a))
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
 
 def _bell_diagonal(coefficients) -> np.ndarray:
     """Unvalidated (k, 4, 4) stack of (I + cx XX + cy YY + cz ZZ)/4, one per

@@ -135,18 +135,18 @@ def suite_lowering_algebra() -> SuiteResult:
     return _result("lowering operators nilpotent and commuting", dev, 0.0)
 
 
-def _entangling_unitaries(n: int = 20) -> np.ndarray:
-    """n fixed entangling two-atom unitaries as an (n, 4, 4) stack.
+def _entangling_unitaries() -> np.ndarray:
+    """20 fixed entangling two-atom unitaries as a (20, 4, 4) stack.
 
     U_k = prod_j (cos w_kj I + i sin w_kj P_j) over the 15 Pauli products
     P_j = sigma_a x sigma_b other than I x I, in (a, b) order, with
-    w_kj = 2 pi frac(j k (sqrt 5 - 1)/2) for k = 1..n.  Since P_j^2 = I, each
+    w_kj = 2 pi frac(j k (sqrt 5 - 1)/2) for k = 1..20.  Since P_j^2 = I, each
     factor is exactly exp(i w_kj P_j).  The factors' entries are libm's cos
     and sin up to sign, and the product is an einsum, which calls no BLAS, so
     the bytes of U do not depend on the BLAS kernel.
     """
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    angles = [[2.0 * math.pi * (j * k * golden % 1.0) for j in range(1, 16)] for k in range(1, n + 1)]
+    angles = [[2.0 * math.pi * (j * k * golden % 1.0) for j in range(1, 16)] for k in range(1, 21)]
     cos = np.array([[math.cos(w) for w in row] for row in angles])[..., None, None]
     sin = np.array([[math.sin(w) for w in row] for row in angles])[..., None, None]
     products = np.array([np.kron(s, t) for s in PAULIS for t in PAULIS])[1:]

@@ -14,6 +14,7 @@ from corr_radiance.emission import (
     STATISTICS,
     UNDEFINED_INTENSITY_TOL,
     PhotonStatistics,
+    find_statistics_transition,
     x_emission,
 )
 from corr_radiance.cli import (
@@ -39,6 +40,7 @@ from corr_radiance.cli import (
     render_json,
 )
 from cli_rows import rows_of
+from geometries import crossing_geometries, uniform_geometries
 
 REF_D_T = 0.8668518157244345
 
@@ -121,6 +123,28 @@ class TestTables:
     def test_fig5_without_crossing_has_no_marker(self):
         table = cmd_fig5(cfg("fig5", grid_d=41, sin_beta=1.0))
         assert all(r[5] == "" for r in rows_of(table))
+
+    @pytest.mark.parametrize("grid_d", [41, 101, 1001])
+    def test_fig5_crossing_mark_brackets_the_transition(self, grid_d):
+        # fig5 marks the crossing from the kernel's statistics codes row by
+        # row; find_statistics_transition solves c* in closed form
+        seen = set()
+        for geom in uniform_geometries(5, 100) + crossing_geometries(7, 100):
+            table = cmd_fig5(cfg("fig5", kl=geom.kl, grid_d=grid_d, sin_beta=geom.sin_beta))
+            rows = rows_of(table)
+            c = [r[1] for r in rows]
+            marked = [i for i, r in enumerate(rows) if r[5] == "crossing"]
+            point = find_statistics_transition(geom)
+            if point is not None and point.c_star > c[1]:
+                seen.add("above")
+                assert len(marked) == 1, geom
+                assert c[marked[0] - 1] < point.c_star <= c[marked[0]], geom
+            else:
+                # row 0 (c = 0) is Poissonian and never marked; from
+                # c[1] on, g2 stays on one side of 1
+                seen.add("none" if point is None else "at or below c[1]")
+                assert marked == [], geom
+        assert seen == {"above", "none", "at or below c[1]"}
 
     def test_transition_rows(self):
         # the summary line is returned to be printed only beside an --out file

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from corr_radiance.correlations import (
-    CorrelationClass,
     _conditional_entropy,
-    classify_correlations,
     concurrence_closed,
     concurrence_wootters,
     concurrences_wootters,
@@ -203,19 +201,28 @@ class TestDiscordInversion:
             discord_to_c(d)
 
 
-class TestCorrelationClassification:
-    def test_regions(self):
-        assert classify_correlations(0.0) is CorrelationClass.CLASSICAL
-        assert classify_correlations(0.2) is CorrelationClass.DISCORDANT_SEPARABLE
-        assert classify_correlations(1.0 / 3.0) is CorrelationClass.DISCORDANT_SEPARABLE
-        assert classify_correlations(0.5) is CorrelationClass.ENTANGLED
-        assert classify_correlations(1.0) is CorrelationClass.ENTANGLED
+class TestSeparabilityThreshold:
+    """The Werner state is separable yet discordant up to c = 1/3, a threshold
+    that only concurrence_closed encodes."""
 
-    def test_snap_window_at_the_boundary(self):
-        assert classify_correlations(1.0 / 3.0 + 1e-13) is CorrelationClass.DISCORDANT_SEPARABLE
-        assert classify_correlations(1.0 / 3.0 + 1e-6) is CorrelationClass.ENTANGLED
-        assert classify_correlations(1e-13) is CorrelationClass.CLASSICAL
+    def test_discord_without_entanglement_up_to_one_third(self):
+        # from 1e-7 up: below about 1e-8 discord_werner_closed clamps its
+        # cancelling sum at 0
+        for c in [*np.geomspace(1e-7, 1.0 / 3.0, 400).tolist(), 0.2, 1.0 / 3.0]:
+            assert concurrence_closed(c) == 0.0, c
+            assert discord_werner_closed(c) > 0.0, c
 
-    def test_rejects_out_of_range(self):
+    def test_entangled_above_one_third(self):
+        # 1/3 + 1e-13 is inside the window the deleted classifier snapped to
+        # separable; its concurrence is 1.5e-13
+        for c in [1.0 / 3.0 + e for e in np.geomspace(1e-13, 2.0 / 3.0, 200).tolist()]:
+            assert concurrence_closed(c) > 0.0, c
+        assert concurrence_closed(1.0 / 3.0 + 1e-13) == pytest.approx(1.5e-13, rel=1e-3)
+        assert concurrence_closed(1.0) == 1.0
+
+    @pytest.mark.parametrize("c", [-0.5, -1e-300, 1.0 + 1e-15, 2.0, math.nan])
+    def test_rejects_out_of_range(self, c):
         with pytest.raises(ValueError):
-            classify_correlations(-0.5)
+            concurrence_closed(c)
+        with pytest.raises(ValueError):
+            discord_werner_closed(c)

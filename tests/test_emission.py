@@ -30,6 +30,7 @@ from corr_radiance.qstate import (
     make_x_state,
     sigma_minus,
 )
+from geometries import crossing_geometries
 
 PI = math.pi
 
@@ -294,17 +295,24 @@ class TestStatisticsTransition:
         # the crossing satisfies its defining equation
         assert g2_closed_werner(point.c_star, geom) == pytest.approx(1.0, abs=1e-10)
 
-    def test_agrees_with_independent_bisection(self):
-        geom = DetectionGeometry(PI, 0.2)
+    @pytest.mark.parametrize("geom", crossing_geometries(23, 40))
+    def test_agrees_with_independent_bisection(self, geom):
         point = find_statistics_transition(geom)
-        lo, hi = 1e-9, 1.0 - 1e-12
+        assert point is not None and 1e-6 <= point.c_star <= 1.0 - 1e-6
+        lo, hi = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             if g2_closed_werner(mid, geom) > 1.0:
                 lo = mid
             else:
                 hi = mid
-        assert abs(0.5 * (lo + hi) - point.c_star) <= 1e-8
+        # g2 is within a few ulps of 1 near the root, so the bisection pins
+        # it to about 1e-15/|dg2/dc|, with dg2/dc = (1 - 2x) x^2/(1 - x)^2
+        # at c*; c* itself is rounded to about 1e-15 (the worst of 6,000
+        # draws reached 0.22 of this bound)
+        x = geom.cos_phase
+        slope = (2.0 * x - 1.0) * x * x / ((1.0 - x) * (1.0 - x))
+        assert abs(0.5 * (lo + hi) - point.c_star) <= 1e-15 * (1.0 + 1.0 / slope)
 
     def test_c_star_squares_cos_phi_by_multiplication(self):
         # c* = (2x - 1)/(x*x) bit for bit, x = cos phi; the draws include
@@ -330,6 +338,24 @@ class TestStatisticsTransition:
         # cos(pi sin beta) leaves (1/2, 1) at all of these angles
         geom = DetectionGeometry(PI, sin_beta)
         assert find_statistics_transition(geom) is None
+
+    def test_none_where_c_star_rounds_to_one(self):
+        # 0 < 1 - cos phi < 1e-8: c* = 1 - (1 - x)^2/x^2 rounds to 1, so the
+        # crossing is not in (0, 1)
+        geom = DetectionGeometry(PI, 3e-5)
+        assert 0.0 < 1.0 - geom.cos_phase < 1e-8
+        assert find_statistics_transition(geom) is None
+
+    @pytest.mark.parametrize("sin_beta", [0.3333333307963333, 0.33333333264799997])
+    def test_closed_form_just_above_cos_phi_one_half(self, sin_beta):
+        # c* near 1e-8, where a bisection on (1 - c) - (1 - c cos phi)^2
+        # cannot resolve the root: the closed form is returned as it is
+        geom = DetectionGeometry(PI, sin_beta)
+        x = geom.cos_phase
+        point = find_statistics_transition(geom)
+        assert point is not None
+        assert point.c_star.hex() == ((2.0 * x - 1.0) / (x * x)).hex()
+        assert 1e-8 < point.c_star < 1e-7
 
     def test_crossing_band_edge(self):
         # cos(phi) slightly above 1/2 still yields a root, slightly below none
