@@ -283,57 +283,55 @@ def _shared_midpoint_values() -> array:
 # Werner discord; the closed form stays within a hundredth of it on a fixed
 # set of c checked against a 40-digit evaluation
 _CLOSED_FORM_ERROR = 1e-13
-# bounds outside [0, 1]: no level is certified
-_NO_WINDOW = (-1.0, 2.0)
-_LN2 = math.log(2.0)
+# the first bisection level whose brackets fit DISCORD_TO_C_TOL:
+# 2^-29 > DISCORD_TO_C_TOL >= 2^-30
+_CELL_LEVELS = 30
+_CELL_WIDTH = 0.5 ** _CELL_LEVELS
+# D' increases on [0, 1] and D'(0.9) < 1.784, so below this c the centre of a
+# certified cell meets the stop test: eps + 1.784 2^-31 < DISCORD_TO_C_TOL
+_CENTRE_STOP_BOUND = 0.9
 
 
-def _certified_window(d: float, k: int) -> tuple[float, float]:
-    """``(low, high)`` such that ``discord_werner_closed(c) < d`` for every
-    c <= low and ``discord_werner_closed(c) >= d`` for every c >= high;
-    ``_NO_WINDOW`` where that cannot be shown.
+def _certified_cell(d: float, k: int) -> float | None:
+    """The lower end ``a`` of a cell [a, b = a + 2^-``_CELL_LEVELS``] where
+    ``discord_werner_closed`` reads below d at every c <= a and above d at
+    every c >= b; None where that cannot be shown.
 
-    ``k`` is the root's cell [lo, hi] of the shared table, lo = k 2^-12, as
-    ``bisect_left`` finds it.  The root is estimated by the chord of the
-    cell and one Newton step with the analytic slope
-    D'(c) = -1/4 log2(1 - c) - 1/2 log2(1 + c) + 3/4 log2(1 + 3c), and
-    the closed form is evaluated at probes ``x -+ delta`` around it.  With
-    ``eps = _CLOSED_FORM_ERROR`` and D increasing on [0, 1], a probe ``a``
-    whose value is below ``d - 2 eps`` gives, for every c <= a,
-    closed(c) <= D(c) + eps <= D(a) + eps <= closed(a) + 2 eps < d, and a
-    probe ``b`` whose value is above ``d + 2 eps`` gives closed(c) > d for
-    every c >= b.  Each side is certified on its own.  ``delta`` covers
-    ``2 eps`` of discord at the estimate's slope, twice over, and the Newton
-    step's own error, estimated from the curvature.  The estimate fails
-    where the chord or the step leaves the cell: near d = 0, where D' -> 0,
-    and near d = 1, where D' diverges.
+    ``k`` is the root's table cell [lo, hi], lo = k 2^-12, as ``bisect_left``
+    finds it.  The chord of that cell and one Newton step with the analytic
+    slope D'(c) = -1/4 log2(1 - c) - 1/2 log2(1 + c) + 3/4 log2(1 + 3c)
+    estimate the root, whose cell must lie in [lo, hi].  With
+    ``eps = _CLOSED_FORM_ERROR`` and D increasing on [0, 1], closed(a) below
+    d - 2 eps gives closed(c) <= D(c) + eps <= D(a) + eps < d for c <= a, and
+    closed(b) above d + 2 eps gives closed(c) > d for c >= b.  The first
+    table cell, where D' -> 0 and the step overshoots, gets no cell; near
+    d = 1, where D' diverges, the estimate leaves the table cell; a probe
+    fails where the estimate misses the root's cell or the root lies within
+    about 2 eps / D' of a cell end.
     """
+    if k == 0:
+        return None
     table = _shared_midpoint_values()
     lo = k * _SHARED_WIDTH
     hi = lo + _SHARED_WIDTH
-    # the closed form is 0 at c = 0 and 1 at c = 1
-    d_lo = table[k - 1] if k else 0.0
+    # the closed form is 1 at c = 1
     d_hi = table[k] if k < len(table) else 1.0
-    x = lo + (d - d_lo) / (d_hi - d_lo) * _SHARED_WIDTH
+    x = lo + (d - table[k - 1]) / (d_hi - table[k - 1]) * _SHARED_WIDTH
     if not lo < x < hi:
-        return _NO_WINDOW
+        return None
+    # x >= 2^-12, so the slope is at least 2^-12 and positive
     a, b, e = 1.0 - x, 1.0 + x, 1.0 + 3.0 * x
     la, lb, le = log2(a), log2(b), log2(e)
     slope = 0.75 * le - 0.25 * la - 0.5 * lb
-    if not slope > 0.0:
-        return _NO_WINDOW
-    step = (0.25 * (a * la) - 0.5 * (b * lb) + 0.25 * (e * le) - d) / slope
-    # D''/D', with D''(c) ln 2 = 1/(4(1 - c)) - 1/(2(1 + c)) + 9/(4(1 + 3c))
-    bend = (0.25 / a - 0.5 / b + 2.25 / e) / (_LN2 * slope)
-    x -= step
-    delta = 4.0 * _CLOSED_FORM_ERROR / slope + bend * step * step
-    low, high = x - delta, x + delta
-    if not lo < low < high < hi:
-        return _NO_WINDOW
-    return (
-        low if discord_werner_closed(low) < d - 2.0 * _CLOSED_FORM_ERROR else _NO_WINDOW[0],
-        high if discord_werner_closed(high) > d + 2.0 * _CLOSED_FORM_ERROR else _NO_WINDOW[1],
+    x -= (0.25 * (a * la) - 0.5 * (b * lb) + 0.25 * (e * le) - d) / slope
+    low = math.floor(x / _CELL_WIDTH) * _CELL_WIDTH
+    high = low + _CELL_WIDTH
+    certified = (
+        lo <= low and high <= hi
+        and discord_werner_closed(low) < d - 2.0 * _CLOSED_FORM_ERROR
+        and discord_werner_closed(high) > d + 2.0 * _CLOSED_FORM_ERROR
     )
+    return low if certified else None
 
 
 def discord_to_c(d: float) -> float:
@@ -350,13 +348,12 @@ def discord_to_c(d: float) -> float:
     ascending order; the steps are a binary search on it, which ``bisect_left``
     runs, with a tie going left as ``value < d`` does.
 
-    The later steps take the same path as the plain bisection but evaluate
-    only where the outcome is open.  ``_certified_window`` gives ``(low,
-    high)`` around the root; a step whose bracket is wider than the tolerance,
-    so that the stop test cannot fire, and whose midpoint lies outside the
-    window moves ``lo`` (midpoint <= low) or ``hi`` (midpoint >= high) without
-    evaluating.  Every other step, and every step of a target without a
-    window, evaluates as the plain bisection does.
+    Every midpoint of the levels down to ``_CELL_LEVELS`` is a multiple of
+    2^-``_CELL_LEVELS`` with a bracket wider than the tolerance, so the steps
+    reach the cell that ``_certified_cell`` certifies without evaluating.  If
+    the cell ends at or below ``_CENTRE_STOP_BOUND``, the next step stops at
+    its centre, which is returned.  Every other target bisects from its
+    certified cell, or without one from its table cell, evaluating each step.
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"discord target {d} lies outside the attainable range [0, 1]")
@@ -367,17 +364,18 @@ def discord_to_c(d: float) -> float:
     k = bisect_left(_shared_midpoint_values(), d)
     lo = k * _SHARED_WIDTH
     hi = lo + _SHARED_WIDTH
-    low, high = _certified_window(d, k)
-    for _ in range(200 - _SHARED_LEVELS):
+    levels = _SHARED_LEVELS
+    low = _certified_cell(d, k)
+    if low is not None:
+        lo, hi, levels = low, low + _CELL_WIDTH, _CELL_LEVELS
+        if hi <= _CENTRE_STOP_BOUND:
+            return 0.5 * (lo + hi)
+    for _ in range(200 - levels):
         mid = 0.5 * (lo + hi)
-        if hi - lo > DISCORD_TO_C_TOL and not low < mid < high:
-            below = mid <= low
-        else:
-            value = discord_werner_closed(mid)
-            if abs(value - d) <= DISCORD_TO_C_TOL and hi - lo <= DISCORD_TO_C_TOL:
-                break
-            below = value < d
-        if below:
+        value = discord_werner_closed(mid)
+        if abs(value - d) <= DISCORD_TO_C_TOL and hi - lo <= DISCORD_TO_C_TOL:
+            break
+        if value < d:
             lo = mid
         else:
             hi = mid

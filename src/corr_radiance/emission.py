@@ -290,8 +290,10 @@ def find_statistics_transition(geom: DetectionGeometry) -> TransitionPoint | Non
     Setting (1 - c cos phi)^2 = 1 - c gives c* = (2 cos phi - 1)/cos^2 phi,
     which lies in (0, 1) exactly when cos phi is in (1/2, 1).  Above 1/2,
     2 cos phi - 1 is exact and positive, so c* > 0; within about 1e-8 of
-    cos phi = 1, c* rounds to 1.  Where c* < 1, the intensity at c*,
-    (1 - cos phi)/cos phi, is about 1e-8 or more, so g2 is defined there.
+    cos phi = 1, c* rounds to 1 and the result is None, although g2 (0 at
+    c = 1) still falls below 1 on fig5's last row, which fig5 marks.  Where
+    c* < 1, the intensity at c*, (1 - cos phi)/cos phi, is about 1e-8 or
+    more, so g2 is defined there.
     """
     cos_phi = geom.cos_phase
     if cos_phi <= 0.5:

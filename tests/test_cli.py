@@ -13,6 +13,7 @@ from corr_radiance.emission import (
     CLASSIFY_TOL,
     STATISTICS,
     UNDEFINED_INTENSITY_TOL,
+    DetectionGeometry,
     PhotonStatistics,
     find_statistics_transition,
     x_emission,
@@ -128,8 +129,10 @@ class TestTables:
     def test_fig5_crossing_mark_brackets_the_transition(self, grid_d):
         # fig5 marks the crossing from the kernel's statistics codes row by
         # row; find_statistics_transition solves c* in closed form
+        # c* = 1 - (1 - x)^2/x^2 rounds to 1 where 0 < 1 - x <~ 1e-8
+        rounds_to_one = [DetectionGeometry(math.pi, s) for s in (3e-5, 1e-5)]
         seen = set()
-        for geom in uniform_geometries(5, 100) + crossing_geometries(7, 100):
+        for geom in uniform_geometries(5, 100) + crossing_geometries(7, 100) + rounds_to_one:
             table = cmd_fig5(cfg("fig5", kl=geom.kl, grid_d=grid_d, sin_beta=geom.sin_beta))
             rows = rows_of(table)
             c = [r[1] for r in rows]
@@ -139,12 +142,17 @@ class TestTables:
                 seen.add("above")
                 assert len(marked) == 1, geom
                 assert c[marked[0] - 1] < point.c_star <= c[marked[0]], geom
+            elif point is None and 0.5 < geom.cos_phase < 1.0:
+                # the transition is none, while g2 still falls below 1 on
+                # the last row, c = 1, where it is 0
+                seen.add("rounds to 1")
+                assert marked == [len(rows) - 1], geom
             else:
                 # row 0 (c = 0) is Poissonian and never marked; from
                 # c[1] on, g2 stays on one side of 1
                 seen.add("none" if point is None else "at or below c[1]")
                 assert marked == [], geom
-        assert seen == {"above", "none", "at or below c[1]"}
+        assert seen == {"above", "none", "at or below c[1]", "rounds to 1"}
 
     def test_transition_rows(self):
         # the summary line is returned to be printed only beside an --out file

@@ -4,12 +4,14 @@
 form at every step, and ``reference_discord_werner_closed`` the closed form
 with one helper call per x log2 x term.  ``discord_to_c`` finds its first
 bracket with ``bisect`` on an ascending table shared by every target, then
-skips the evaluation at every later step whose outcome a certified window
-around the root decides, and ``discord_werner_closed`` writes the terms
-inline; none of this may move a single bit of a result.  The window rests on
-``_CLOSED_FORM_ERROR`` bounding the closed form's error, which is checked
-here against a 40-digit ``decimal`` evaluation, and it must save evaluations:
-the count per target is pinned on the 25001-point axis.
+jumps to the root's level-30 cell where two probes certify it, and below
+c = 0.9 returns that cell's centre; ``discord_werner_closed`` writes the
+terms inline.  None of this may move a single bit of a result.  The
+certificate rests on ``_CLOSED_FORM_ERROR`` bounding the closed form's
+error, and the centre on D'(0.9) 2^-31 + eps < 1e-9; both are checked here
+against 40-digit ``decimal`` evaluations.  Targets on or next to a cell end
+take the uncertified path, and the evaluation count per target is pinned on
+the 25001-point axis.
 """
 
 import inspect
@@ -179,18 +181,29 @@ def test_the_shared_table_holds_the_closed_form_at_each_midpoint_in_ascending_or
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def certified_window(d: float) -> tuple[float, float]:
-    """The window ``discord_to_c`` computes for the target ``d`` in (0, 1)."""
-    return correlations._certified_window(d, bisect_left(correlations._shared_midpoint_values(), d))
+def certified_cell(d: float) -> float | None:
+    """The cell ``discord_to_c`` certifies for the target ``d`` in (0, 1)."""
+    return correlations._certified_cell(d, bisect_left(correlations._shared_midpoint_values(), d))
 
 
-# the root estimate leaves its table cell or fails a probe: every step evaluates
+# in the first table cell, or the estimate leaves its table cell or fails a probe
 FALLBACK_TARGETS = [1.0 - 1e-13, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53, 1e-8, 1e-12, 1e-17, 1e-300, 5e-324]
 
 
-def test_targets_without_a_window_match_the_reference():
-    assert [certified_window(d) for d in FALLBACK_TARGETS] == [correlations._NO_WINDOW] * len(FALLBACK_TARGETS)
+def test_targets_without_a_certified_cell_match_the_reference():
+    assert [certified_cell(d) for d in FALLBACK_TARGETS] == [None] * len(FALLBACK_TARGETS)
     assert_same_bits(FALLBACK_TARGETS)
+
+
+def test_targets_that_tie_with_a_cell_end_match_the_reference():
+    # the closed form at seeded multiples of 2^-30, and the doubles either
+    # side: the root lies on a cell end or within an ulp of one, so no cell
+    # is certified and the bisection evaluates every step
+    rng = random.Random(41)
+    ends = [reference_discord_werner_closed(rng.randrange(1, 2 ** 30) / 2 ** 30) for _ in range(2000)]
+    targets = [t for d in ends for t in (math.nextafter(d, 0.0), d, math.nextafter(d, 1.0))]
+    assert [d for d in targets if certified_cell(d) is not None] == []
+    assert_same_bits(targets)
 
 
 def test_targets_next_to_the_ends_match_the_reference():
@@ -223,7 +236,7 @@ def test_the_axis_evaluates_few_closed_forms_per_target(monkeypatch):
     axis = np.linspace(0.0, 1.0, 25001).tolist()
     for d in axis:
         discord_to_c(d)
-    assert calls <= 6 * len(axis)
+    assert calls <= 3 * len(axis)
 
 
 def exact_discord(c: float) -> Decimal:
@@ -246,3 +259,25 @@ def test_the_closed_form_error_is_a_hundredth_of_its_bound():
     cs += [1.0 / 3.0]
     worst = max(abs(Decimal(discord_werner_closed(c)) - exact_discord(c)) for c in cs)
     assert worst <= Decimal(correlations._CLOSED_FORM_ERROR) / 100
+
+
+def exact_slope_and_bend(c: Decimal) -> tuple[Decimal, Decimal]:
+    """D'(c) and D''(c) of the Werner discord, to 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ln2 = Decimal(2).ln()
+        slope = (-(1 - c).ln() / 4 - (1 + c).ln() / 2 + 3 * (1 + 3 * c).ln() / 4) / ln2
+        bend = (1 / (4 * (1 - c)) - 1 / (2 * (1 + c)) + 9 / (4 * (1 + 3 * c))) / ln2
+        return slope, bend
+
+
+def test_a_certified_cell_below_the_bound_stops_at_its_centre():
+    # the level-30 brackets are the first within the tolerance, and below
+    # the bound the centre of a cell holding the root is within it of d:
+    # eps + D'(bound) 2^-31 < tol, as D'' > 0 makes D' largest at the bound
+    width = Decimal(correlations._CELL_WIDTH)
+    tol = Decimal(correlations.DISCORD_TO_C_TOL)
+    assert width <= tol < 2 * width
+    slope, _ = exact_slope_and_bend(Decimal(correlations._CENTRE_STOP_BOUND))
+    assert slope * width / 2 + Decimal(correlations._CLOSED_FORM_ERROR) < tol
+    assert all(exact_slope_and_bend(Decimal(k) / 1000)[1] > 0 for k in range(1000))
