@@ -276,8 +276,8 @@ def test_array_inversion_on_the_long_axis():
 
 
 def test_array_inversion_on_targets_hit_exactly_by_a_bisection_step():
-    # the residual at that step is 0, so the step's decision turns on the last
-    # ulp of the logarithm; the scalar fallback must take these targets
+    # the residual at that step is 0 and the root lies on a cell end, so a
+    # probe fails and the scalar route bisects from the table cell
     midpoints = np.arange(1, 2**12, 2) / 2**12
     d = np.array([discord_werner_closed(m) for m in midpoints.tolist()])
     expected = np.array([discord_to_c(x) for x in d.tolist()])
