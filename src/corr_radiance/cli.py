@@ -300,8 +300,8 @@ def _write_file(table: Table, cfg: RunConfig, out: str) -> None:
 def _discord_axis(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     d = np.linspace(0.0, 1.0, cfg.grid_d)
     # one scalar discord_to_c call per row, as the benchmark's traced call
-    # count expects; a row whose root's level-30 cell is certified evaluates
-    # the closed form at the cell's two ends, plus the last steps above c = 0.95
+    # count expects; each row's Newton solve evaluates the closed form about
+    # three times
     return d, np.fromiter(map(discord_to_c, map(float, d)), float, d.size)
 
 

@@ -12,7 +12,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import log2
+from math import log1p, log2, sqrt
 
 import numpy as np
 
@@ -35,19 +35,37 @@ class DiscordResult:
     converged: bool = True
 
 
+_LN2 = math.log(2.0)
+# ln 2 D(c) = sum over n >= 2 of a_n c^n, a_n = [1/4 - 1/2 (-1)^n + 1/4 (-3)^n]/(n(n - 1)),
+# the Taylor series of the closed form's three x ln x terms, whose sum cancels
+# to order c^2; below _SERIES_BOUND each term is under 3c < 0.15 times the one
+# before, so 22 terms reach the double's resolution.  Stored divided by ln 2,
+# highest power first for Horner's rule.
+_SERIES_BOUND = 0.05
+_SERIES = tuple(
+    (0.25 - 0.5 * (-1) ** n + 0.25 * (-3) ** n) / (n * (n - 1)) / _LN2
+    for n in range(23, 1, -1)
+)
+
+
 def discord_werner_closed(c: float) -> float:
     """Quantum discord of the Werner state with mixing parameter c, in bits.
 
-    Near c = 0 the discord is about c^2 / ln 2 while the three terms cancel
-    to about 1e-16, so below c of about 1e-8 the sum can come out negative;
-    it is clamped at 0.
+    The closed form (1-c)/4 log2(1-c) - (1+c)/2 log2(1+c) + (1+3c)/4 log2(1+3c);
+    below c = 0.05, where its terms cancel to about c^2 / ln 2, its Taylor
+    series instead, which keeps the relative error near 1e-16 down to where
+    c^2 underflows.
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"Werner parameter c = {c} lies outside [0, 1]")
+    if c < _SERIES_BOUND:
+        s = 0.0
+        for a in _SERIES:
+            s = s * c + a
+        return c * (c * s)
     # 1 + c and 1 + 3c are at least 1; only 1 - c reaches 0, where x log2 x -> 0
     a, b, e = 1.0 - c, 1.0 + c, 1.0 + 3.0 * c
-    d = 0.25 * (a * log2(a) if a > 0.0 else 0.0) - 0.5 * (b * log2(b)) + 0.25 * (e * log2(e))
-    return d if d > 0.0 else 0.0
+    return 0.25 * (a * log2(a) if a > 0.0 else 0.0) - 0.5 * (b * log2(b)) + 0.25 * (e * log2(e))
 
 
 def _xlog2_array(x: np.ndarray) -> np.ndarray:
@@ -105,9 +123,6 @@ def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.nd
 DISCORD_GRID = 64
 DISCORD_TOL = 1e-8
 DISCORD_MAX_DEPTH = 50
-# discord_to_c stops once the bracket in c and the residual in discord are
-# both within DISCORD_TO_C_TOL
-DISCORD_TO_C_TOL = 1e-9
 
 
 def discord_numeric(rho: DensityMatrix, measured: int = 2) -> DiscordResult:
@@ -263,97 +278,46 @@ def concurrences_wootters(stack) -> np.ndarray:
     return np.where(excess > 0.0, excess, 0.0)
 
 
-# the top bisection levels of discord_to_c, whose midpoints every target shares
-_SHARED_LEVELS = 12
-_SHARED_WIDTH = 0.5 ** _SHARED_LEVELS
+# discord_to_c starts from a table of the closed form at multiples of this width
+_TABLE_WIDTH = 2.0 ** -12
 
 
 @functools.cache
-def _shared_midpoint_values() -> array:
-    """``discord_werner_closed`` at k 2^-``_SHARED_LEVELS`` for
-    k = 1 ... 2^``_SHARED_LEVELS`` - 1, in ascending order, built once per
-    process.  The values strictly increase."""
+def _discord_table() -> array:
+    """``discord_werner_closed`` at k ``_TABLE_WIDTH`` for k = 1 ... 4095, in
+    ascending order, built once per process.  The values strictly increase."""
     return array(
-        "d",
-        (discord_werner_closed(k * _SHARED_WIDTH) for k in range(1, 2 ** _SHARED_LEVELS)),
+        "d", (discord_werner_closed(k * _TABLE_WIDTH) for k in range(1, round(1.0 / _TABLE_WIDTH)))
     )
 
 
-# a bound on |discord_werner_closed(c) - D(c)| for c in [0, 1], D the exact
-# Werner discord; the closed form stays within a hundredth of it on a fixed
-# set of c checked against a 40-digit evaluation
-_CLOSED_FORM_ERROR = 1e-13
-# the first bisection level whose brackets fit DISCORD_TO_C_TOL:
-# 2^-29 > DISCORD_TO_C_TOL >= 2^-30
-_CELL_LEVELS = 30
-_CELL_WIDTH = 0.5 ** _CELL_LEVELS
-# D' increases on [0, 1] and D'(0.95) < 2.058, so below this c the centre of
-# a certified cell meets the stop test: eps + 2.058 2^-31 < DISCORD_TO_C_TOL
-_CENTRE_STOP_BOUND = 0.95
+_SQRT_LN2 = math.sqrt(_LN2)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
-def _certified_cell(d: float, k: int) -> float | None:
-    """The lower end ``a`` of a cell [a, b = a + 2^-``_CELL_LEVELS``] where
-    ``discord_werner_closed`` reads below d at every c <= a and above d at
-    every c >= b; None where that cannot be shown.
-
-    ``k`` is the root's table cell [lo, hi], lo = k 2^-12, as ``bisect_left``
-    finds it.  The chord of that cell and one Newton step with the analytic
-    slope D'(c) = -1/4 log2(1 - c) - 1/2 log2(1 + c) + 3/4 log2(1 + 3c)
-    estimate the root, whose cell must lie in [lo, hi].  With
-    ``eps = _CLOSED_FORM_ERROR`` and D increasing on [0, 1], closed(a) below
-    d - 2 eps gives closed(c) <= D(c) + eps <= D(a) + eps < d for c <= a, and
-    closed(b) above d + 2 eps gives closed(c) > d for c >= b.  The first
-    table cell, where D' -> 0 and the step overshoots, gets no cell; near
-    d = 1, where D' diverges, the estimate leaves the table cell; a probe
-    fails where the estimate misses the root's cell or the root lies within
-    about 2 eps / D' of a cell end.
-    """
-    if k == 0:
-        return None
-    table = _shared_midpoint_values()
-    lo = k * _SHARED_WIDTH
-    hi = lo + _SHARED_WIDTH
-    # the closed form is 1 at c = 1
-    d_hi = table[k] if k < len(table) else 1.0
-    x = lo + (d - table[k - 1]) / (d_hi - table[k - 1]) * _SHARED_WIDTH
-    if not lo < x < hi:
-        return None
-    # x >= 2^-12, so the slope is at least 2^-12 and positive
-    a, b, e = 1.0 - x, 1.0 + x, 1.0 + 3.0 * x
-    la, lb, le = log2(a), log2(b), log2(e)
-    slope = 0.75 * le - 0.25 * la - 0.5 * lb
-    x -= (0.25 * (a * la) - 0.5 * (b * lb) + 0.25 * (e * le) - d) / slope
-    low = math.floor(x / _CELL_WIDTH) * _CELL_WIDTH
-    high = low + _CELL_WIDTH
-    certified = (
-        lo <= low and high <= hi
-        and discord_werner_closed(low) < d - 2.0 * _CLOSED_FORM_ERROR
-        and discord_werner_closed(high) > d + 2.0 * _CLOSED_FORM_ERROR
-    )
-    return low if certified else None
+def _discord_slope(c: float) -> float:
+    """D'(c) = [3 ln(1 + 3c) - ln(1 - c) - 2 ln(1 + c)] / (4 ln 2) for c < 1,
+    as one ``log1p`` of (1 + 3c)^3 / ((1 - c)(1 + c)^2) - 1, whose numerator
+    4c(2 + 7c + 7c^2) has no cancellation: about 2c / ln 2 near c = 0."""
+    b = 1.0 + c
+    return log1p(4.0 * c * (2.0 + 7.0 * c * b) / ((1.0 - c) * (b * b))) / (4.0 * _LN2)
 
 
 def discord_to_c(d: float) -> float:
     """Invert the Werner discord curve: the c in [0, 1] whose discord is d.
 
-    Bisection on the monotone closed form; ``DISCORD_TO_C_TOL`` bounds both
-    the bracket width in c and the residual in discord.
+    Newton's method on ``discord_werner_closed(c) - d``.  D is increasing and
+    convex on [0, 1] (D'' > 3/2), so from a start below the root the first
+    step lands at or above it.  Each later step divides by the slope at that
+    landing point, at least D' anywhere below it, so it lowers c toward the
+    root and never past it.  The iteration returns the first c that a step
+    does not lower: it needs no tolerance.  The first step is clamped to the
+    root's cell of ``_discord_table`` and below c = 1, where D' diverges.
 
-    The first ``_SHARED_LEVELS`` steps are read from a shared table rather
-    than evaluated.  Over those steps every bracket end and midpoint is a
-    multiple of 2^-``_SHARED_LEVELS``, the same exact float for every target,
-    and the bracket is still wider than the tolerance, so the stop test cannot
-    fire.  The table holds ``discord_werner_closed`` at those midpoints in
-    ascending order; the steps are a binary search on it, which ``bisect_left``
-    runs, with a tie going left as ``value < d`` does.
-
-    Every midpoint of the levels down to ``_CELL_LEVELS`` is a multiple of
-    2^-``_CELL_LEVELS`` with a bracket wider than the tolerance, so the steps
-    reach the cell that ``_certified_cell`` certifies without evaluating.  If
-    the cell ends at or below ``_CENTRE_STOP_BOUND``, the next step stops at
-    its centre, which is returned.  Every other target bisects from its
-    certified cell, or without one from its table cell, evaluating each step.
+    The start is the chord of that cell, below the root as D is convex.  In
+    the first cell, where ln 2 D = c^2 (1 - c + ...), it is sqrt(d ln 2)
+    instead, below the root by a factor 1 - c/2 + ....  For a subnormal d,
+    D rounds to d itself about the root, so no step moves that start.
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"discord target {d} lies outside the attainable range [0, 1]")
@@ -361,38 +325,25 @@ def discord_to_c(d: float) -> float:
         return 0.0
     if d == 1.0:
         return 1.0
-    k = bisect_left(_shared_midpoint_values(), d)
-    lo = k * _SHARED_WIDTH
-    hi = lo + _SHARED_WIDTH
-    levels = _SHARED_LEVELS
-    low = _certified_cell(d, k)
-    if low is not None:
-        lo, hi, levels = low, low + _CELL_WIDTH, _CELL_LEVELS
-        if hi <= _CENTRE_STOP_BOUND:
-            return 0.5 * (lo + hi)
-    for _ in range(200 - levels):
-        mid = 0.5 * (lo + hi)
-        value = discord_werner_closed(mid)
-        if abs(value - d) <= DISCORD_TO_C_TOL and hi - lo <= DISCORD_TO_C_TOL:
-            break
-        if value < d:
-            lo = mid
-        else:
-            hi = mid
-    return mid
-
-
-def discord_to_c_array(d: np.ndarray) -> np.ndarray:
-    """``discord_to_c`` over a 1-D array of targets, bit for bit.
-
-    One scalar call per target, so both routes rest on one certificate.
-    """
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 1:
-        raise ValueError(f"discord targets must form a 1-D array, got shape {d.shape}")
-    outside = ~((d >= 0.0) & (d <= 1.0))
-    if outside.any():
-        raise ValueError(
-            f"discord target {d[outside][0]} lies outside the attainable range [0, 1]"
-        )
-    return np.fromiter(map(discord_to_c, d.tolist()), float, d.size)
+    table = _discord_table()
+    k = bisect_left(table, d)
+    lo = k * _TABLE_WIDTH
+    hi = lo + _TABLE_WIDTH
+    if k == 0:
+        x = sqrt(d) * _SQRT_LN2
+    elif k < len(table):
+        x = lo + (d - table[k - 1]) / (table[k] - table[k - 1]) * _TABLE_WIDTH
+    else:
+        # the last cell ends at c = 1, where the closed form is 1 and D'
+        # diverges; its chord can round up to c = 1
+        hi = _BELOW_ONE
+        x = min(lo + (d - table[-1]) / (1.0 - table[-1]) * _TABLE_WIDTH, hi)
+    x -= (discord_werner_closed(x) - d) / _discord_slope(x)
+    if x > hi:
+        x = hi
+    slope = _discord_slope(x)
+    while True:
+        lower = x - (discord_werner_closed(x) - d) / slope
+        if not lower < x:
+            return x
+        x = lower

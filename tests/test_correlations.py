@@ -35,12 +35,15 @@ class TestDiscordClosedForm:
         with pytest.raises(ValueError):
             discord_werner_closed(c)
 
-    @pytest.mark.parametrize("c", [5e-324, 1e-17, 1e-12, 3e-9, 7.4432257761466606e-09])
-    def test_never_negative_where_the_terms_cancel(self, c):
-        # unclamped, the three terms sum to -4e-17 at c = 1e-12, and
-        # discord_to_c would reject the closed form's own value
-        assert discord_werner_closed(c) >= 0.0
-        assert abs(discord_to_c(discord_werner_closed(c)) - c) <= 1e-7
+    @pytest.mark.parametrize("c", [1e-150, 1e-17, 1e-12, 3e-9, 7.4432257761466606e-09, 0.049])
+    def test_positive_and_invertible_where_the_terms_cancel(self, c):
+        # the three x log2 x terms sum to -4e-17 at c = 1e-12, so below
+        # c = 0.05 the discord is their series, c^2 / ln 2 (1 - c + ...)
+        assert discord_werner_closed(c) == pytest.approx(c * c * (1.0 - c) / math.log(2.0), rel=2.0 * c * c)
+        assert abs(discord_to_c(discord_werner_closed(c)) - c) <= 1e-13 * c
+
+    def test_zero_where_c_squared_underflows(self):
+        assert discord_werner_closed(5e-324) == 0.0
 
 
 class TestDiscordNumeric:
@@ -184,15 +187,15 @@ class TestDiscordInversion:
     def test_round_trip(self):
         for c in np.arange(0.0, 1.0 + 1e-12, 0.1):
             c = float(round(c, 10))
-            assert abs(discord_to_c(discord_werner_closed(c)) - c) <= 1e-6
+            assert abs(discord_to_c(discord_werner_closed(c)) - c) <= 1e-13 * c
 
-    def test_residual_within_tolerance(self):
+    def test_residual_within_the_closed_form_error(self):
         for d in (0.05, 0.126, 0.5, 0.87, 0.999):
             c = discord_to_c(d)
-            assert abs(discord_werner_closed(c) - d) <= 1e-9
+            assert abs(discord_werner_closed(c) - d) <= 1e-13 * d
 
     def test_threshold_discord_maps_near_one_third(self):
-        assert discord_to_c(D_AT_ONE_THIRD) == pytest.approx(1.0 / 3.0, abs=1e-9)
+        assert discord_to_c(D_AT_ONE_THIRD) == pytest.approx(1.0 / 3.0, rel=1e-13)
         assert discord_to_c(0.126) == pytest.approx(1.0 / 3.0, abs=1e-3)
 
     @pytest.mark.parametrize("d", [-0.1, 1.0001])
@@ -206,9 +209,8 @@ class TestSeparabilityThreshold:
     that only concurrence_closed encodes."""
 
     def test_discord_without_entanglement_up_to_one_third(self):
-        # from 1e-7 up: below about 1e-8 discord_werner_closed clamps its
-        # cancelling sum at 0
-        for c in [*np.geomspace(1e-7, 1.0 / 3.0, 400).tolist(), 0.2, 1.0 / 3.0]:
+        # from 1e-150 up: below that c^2 underflows
+        for c in [*np.geomspace(1e-150, 1.0 / 3.0, 400).tolist(), 0.2, 1.0 / 3.0]:
             assert concurrence_closed(c) == 0.0, c
             assert discord_werner_closed(c) > 0.0, c
 

@@ -1,256 +1,254 @@
-"""``discord_to_c`` and ``discord_werner_closed`` agree with their plain forms, bit for bit.
+"""``discord_to_c`` returns the root of the Werner discord, and
+``discord_werner_closed`` the discord, within stated relative bounds of
+their 40-digit decimal values.
 
-``reference_discord_to_c`` below is the bisection that evaluates the closed
-form at every step, and ``reference_discord_werner_closed`` the closed form
-with one helper call per x log2 x term.  ``discord_to_c`` finds its first
-bracket with ``bisect`` on an ascending table shared by every target, then
-jumps to the root's level-30 cell where two probes certify it, and below
-c = 0.95 returns that cell's centre; ``discord_to_c_array`` maps it over an
-array; ``discord_werner_closed`` writes the terms inline.  None of this may
-move a single bit of a result.  The certificate rests on
-``_CLOSED_FORM_ERROR`` bounding the closed form's error, and the centre on
-D'(0.95) 2^-31 + eps < 1e-9; both are checked here
-against 40-digit ``decimal`` evaluations.  Targets on or next to a cell end
-take the uncertified path, and the evaluation count per target is pinned on
-the 25001-point axis.
+The oracle is ``tests/exact_discord.py``: the discord, and Newton's method on it,
+in 40-digit decimal arithmetic, not another float solver.  ``discord_to_c``
+runs Newton's method on the float closed form from the chord of a table
+cell and stops at the first step that does not lower c; the table and the
+iteration rest on D being increasing and convex, and its first-cell start
+sqrt(d ln 2) on ln 2 D <= c^2, all checked here against 40-digit values.
+Its roots are checked on the linspace axes the CLI prints, on 100,000
+log-uniform and 20,000 uniform targets, next to both ends of [0, 1], at
+every table entry, at the ends of the table's first and last cells and next
+to the closed form's switch to its series; they are nondecreasing on sorted
+targets, and the CLI's printed c column is checked against the root rounded
+to 12 digits.
 """
 
 import inspect
 import math
 import random
-from bisect import bisect_left
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from exact_discord import (
+    PREC,
+    exact_discord,
+    exact_root,
+    exact_slope,
+    log_form,
+    relative_error,
+)
 
 from corr_radiance import correlations
+from corr_radiance.cli import main
 from corr_radiance.correlations import (
     discord_numeric,
     discord_numerics,
     discord_to_c,
-    discord_to_c_array,
     discord_werner_closed,
 )
 
-
-def _reference_xlog2(x: float) -> float:
-    return x * math.log2(x) if x > 0.0 else 0.0
-
-
-def reference_discord_werner_closed(c: float) -> float:
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"Werner parameter c = {c} lies outside [0, 1]")
-    d = (
-        0.25 * _reference_xlog2(1.0 - c)
-        - 0.5 * _reference_xlog2(1.0 + c)
-        + 0.25 * _reference_xlog2(1.0 + 3.0 * c)
-    )
-    return d if d > 0.0 else 0.0
-
-
-def reference_discord_to_c(d: float, tol: float = 1e-9) -> float:
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"discord target {d} lies outside the attainable range [0, 1]")
-    if d == 0.0:
-        return 0.0
-    if d == 1.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    mid = 0.5
-    floor = max(tol, 1e-15)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = reference_discord_werner_closed(mid)
-        if abs(value - d) <= tol and hi - lo <= floor:
-            break
-        if value < d:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+# |discord_to_c(d) - c| / c for the root c of D(c) = d; the worst seen is
+# 1.5e-14, just above c = 0.05, where the closed form's own relative error
+# of 3.9e-14 moves the root by half of it
+ROOT_BOUND = 1e-13
+# |discord_werner_closed(c) - D(c)| / D(c), below and above c = 0.05; the
+# worst seen are 1.8e-16 and 3.9e-14
+SERIES_ERROR_BOUND = 1e-15
+CLOSED_FORM_ERROR_BOUND = 1e-13
+# |discord_werner_closed(c) - D(c)| over [0, 1]; the worst seen on the grid
+# below is under a hundredth of it
+CLOSED_FORM_ABSOLUTE_BOUND = 1e-13
+# where discord_werner_closed switches from its series to the logarithms
+SERIES_BOUND = correlations._SERIES_BOUND
 
 
-def assert_same_bits(targets):
-    got = [discord_to_c(d).hex() for d in targets]
-    expected = [reference_discord_to_c(d).hex() for d in targets]
-    mismatched = [(d, g, e) for d, g, e in zip(targets, got, expected) if g != e]
-    assert not mismatched, f"{len(mismatched)} targets differ, first {mismatched[0]}"
+def worst_root_error(targets) -> tuple[float, float]:
+    """The largest relative error of ``discord_to_c`` over targets in (0, 1),
+    and the target where it occurs."""
+    worst = (0.0, math.nan)
+    for d in targets:
+        c = discord_to_c(d)
+        worst = max(worst, (relative_error(c, exact_root(d, c)), d))
+    return worst
 
 
-EDGE_TARGETS = [
-    1.0 - 2.0 ** -53,
-    1.0 - 1e-16,
-    5e-324,
-    2.2250738585072014e-308,
-    1e-310,
-    0.0,
-    1.0,
-    0.5,
-    0.12581458369391152,
-]
-
-
-def tiny_targets(n: int = 2000) -> list[float]:
-    """Targets in (0, 1e-6], where the clamped closed form is not monotone."""
-    rng = random.Random(3)
-    return [1e-6 * (1.0 - rng.random()) for _ in range(n)] + [1e-6, 1e-12, 1e-17, 1e-30]
+def assert_roots(targets):
+    error, d = worst_root_error(targets)
+    assert error <= ROOT_BOUND, f"relative error {error:.3g} at d = {d!r}"
 
 
 @pytest.mark.parametrize("points", [2, 11, 101, 401, 4097, 10001, 25001])
-def test_linspace_axes_match_the_reference(points):
-    assert_same_bits(np.linspace(0.0, 1.0, points).tolist())
+def test_linspace_axes_give_the_root(points):
+    axis = np.linspace(0.0, 1.0, points).tolist()
+    c = [discord_to_c(d) for d in axis]
+    assert (c[0], c[-1]) == (0.0, 1.0)
+    assert all(a <= b for a, b in zip(c, c[1:]))
+    assert_roots(axis[1:-1])
 
 
-def test_random_targets_match_the_reference():
+def test_log_uniform_targets_give_the_root():
+    rng = random.Random(31)
+    assert_roots([10.0 ** rng.uniform(-300.0, 0.0) for _ in range(100_000)])
+
+
+def test_targets_next_to_one_give_the_root():
+    # D' diverges at c = 1, and within 1.6e-15 of d = 1 the root is within
+    # an ulp of c = 1
+    rng = random.Random(37)
+    targets = [1.0 - 1e-13, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53, 1.0 - 1e-15]
+    targets += [1.0 - 10.0 ** rng.uniform(-16.0, 0.0) for _ in range(3000)]
+    targets += [1.0 - 1e-12 * rng.random() for _ in range(500)]
+    assert_roots(targets)
+
+
+def next_to(d: float) -> list[float]:
+    return [math.nextafter(d, 0.0), d, math.nextafter(d, 1.0)]
+
+
+def test_targets_at_the_ends_of_the_table_cells_give_the_root():
+    table = correlations._discord_table()
+    rng = random.Random(41)
+    # the first cell's top, where D' -> 0 below, and the last cell's bottom
+    targets = next_to(table[0]) + next_to(table[-1])
+    targets += [t for k in rng.sample(range(len(table)), 300) for t in next_to(table[k])]
+    assert_roots(targets)
+
+
+def test_targets_in_the_first_cell_give_the_root():
+    # the start sqrt(d ln 2) lies below the root by a factor 1 - c/2; for a
+    # subnormal target D(c) rounds to the target itself about the root
+    rng = random.Random(43)
+    targets = [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-32, 1e-17, 1e-12, 1e-8]
+    targets += [8.6e-8 * rng.random() for _ in range(2000)]
+    targets += [rng.randrange(1, 2**52) * 5e-324 for _ in range(2000)]
+    assert_roots(targets)
+
+
+def test_uniform_targets_give_the_root():
+    # the log-uniform targets crowd toward 0; these spread over the whole
+    # range, where the chord start and the last-ulp noise of the log form
+    # set the root's error
     rng = random.Random(11)
-    assert_same_bits([rng.random() for _ in range(100_000)])
+    assert_roots([rng.random() for _ in range(20_000)])
 
 
-def test_targets_near_zero_match_the_reference():
-    assert_same_bits(tiny_targets())
+def test_targets_near_zero_give_the_root():
+    # (0, 1e-6]: the first cell and the cells above it, where D' -> 0 and
+    # the closed form is the series
+    rng = random.Random(3)
+    targets = [1e-6 * (1.0 - rng.random()) for _ in range(2000)] + [1e-6, 1e-12, 1e-17, 1e-30]
+    assert_roots(targets)
 
 
-def test_edge_targets_match_the_reference():
-    assert_same_bits(EDGE_TARGETS)
+def test_targets_equal_to_a_table_entry_give_the_root():
+    # bisect_left puts a target equal to an entry in the cell below it, so
+    # the chord start sits on that cell's top end
+    assert_roots(correlations._discord_table())
 
 
-def test_targets_that_tie_with_a_shared_midpoint_match_the_reference():
-    # the closed form at every odd multiple of 2^-12, so each level's
-    # comparison meets a target equal to its own midpoint value
-    assert_same_bits([reference_discord_werner_closed(k / 4096) for k in range(1, 4096, 2)])
+def test_targets_next_to_the_series_bound_give_the_root():
+    # the closed form switches from the series to the logarithms at
+    # c = 0.05, inside a table cell, so Newton's steps cross the switch
+    bound = discord_werner_closed(SERIES_BOUND)
+    rng = random.Random(59)
+    targets = next_to(bound) + next_to(discord_werner_closed(math.nextafter(SERIES_BOUND, 0.0)))
+    targets += [bound * (1.0 + 1e-3 * (2.0 * rng.random() - 1.0)) for _ in range(2000)]
+    assert_roots(targets)
 
 
-def test_targets_that_tie_with_an_upper_level_midpoint_match_the_reference():
-    # the closed form at every even multiple of 2^-12: each equals a table
-    # entry that the bisection meets above its last shared level
-    assert_same_bits([reference_discord_werner_closed(k / 4096) for k in range(2, 4096, 2)])
+def test_roots_are_nondecreasing_in_the_target():
+    # on sorted targets at every scale down to 1e-300; adjacent doubles
+    # about a table entry can order their roots the other way, by up to
+    # 7e-15 of c, well inside ROOT_BOUND
+    rng = random.Random(61)
+    targets = [rng.random() for _ in range(20_000)] + [10.0 ** rng.uniform(-300.0, 0.0) for _ in range(20_000)]
+    targets.sort()
+    c = [discord_to_c(d) for d in targets]
+    assert all(a <= b for a, b in zip(c, c[1:]))
 
 
-def mixed_targets() -> list[float]:
-    rng = random.Random(17)
-    return [rng.random() for _ in range(3000)] + tiny_targets(500) + EDGE_TARGETS
+def test_the_end_targets_are_exact():
+    assert discord_to_c(0.0) == 0.0
+    assert discord_to_c(1.0) == 1.0
 
 
-def test_mixed_targets_match_the_reference():
-    assert_same_bits(mixed_targets())
-
-
-def test_array_inversion_of_mixed_targets_matches_the_reference():
-    targets = mixed_targets()
-    got = discord_to_c_array(np.array(targets)).tolist()
-    expected = [reference_discord_to_c(d) for d in targets]
-    mismatched = [(d, g, e) for d, g, e in zip(targets, got, expected) if g.hex() != e.hex()]
-    assert not mismatched, f"{len(mismatched)} targets differ, first {mismatched[0]}"
+def test_out_of_range_targets_are_still_rejected():
+    for d in (-1e-300, 1.0 + 2.0 ** -52, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            discord_to_c(d)
 
 
 @pytest.mark.parametrize(
     "solver, parameters",
     [
         (discord_to_c, ["d"]),
-        (discord_to_c_array, ["d"]),
         (discord_numeric, ["rho", "measured"]),
         (discord_numerics, ["stack", "measured"]),
     ],
-    ids=["discord_to_c", "discord_to_c_array", "discord_numeric", "discord_numerics"],
+    ids=["discord_to_c", "discord_numeric", "discord_numerics"],
 )
 def test_the_solvers_take_no_settings(solver, parameters):
-    # the tolerance and the angle grid are module constants, not arguments
+    # the angle grid and its tolerances are module constants, not arguments
     assert list(inspect.signature(solver).parameters) == parameters
 
 
-def test_out_of_range_targets_are_still_rejected():
-    for d in (-1e-300, 1.0 + 2.0 ** -52, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            discord_to_c(d)
-
-
-def test_flat_closed_form_matches_the_reference():
-    rng = random.Random(23)
-    cs = [rng.random() for _ in range(100_000)] + [0.0, 1.0, 1.0 / 3.0, 5e-324, 1.0 - 2.0 ** -53]
-    got = [discord_werner_closed(c).hex() for c in cs]
-    assert got == [reference_discord_werner_closed(c).hex() for c in cs]
-
-
-def test_the_shared_table_holds_the_closed_form_at_each_midpoint_in_ascending_order():
-    values = correlations._shared_midpoint_values()
-    size = 2 ** correlations._SHARED_LEVELS
+def test_the_table_holds_the_closed_form_at_each_multiple_in_ascending_order():
+    values = correlations._discord_table()
+    size = round(1.0 / correlations._TABLE_WIDTH)
     assert len(values) == size - 1
-    for k in range(1, size):
-        assert values[k - 1].hex() == reference_discord_werner_closed(k / size).hex(), k
-    # bisect reproduces the bisection's descent only on a strictly increasing table
+    assert values.tolist() == [discord_werner_closed(k / size) for k in range(1, size)]
+    # bisect finds the root's cell only on a strictly increasing table
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def certified_cell(d: float) -> float | None:
-    """The cell ``discord_to_c`` certifies for the target ``d`` in (0, 1)."""
-    return correlations._certified_cell(d, bisect_left(correlations._shared_midpoint_values(), d))
-
-
-# in the first table cell, or the estimate leaves its table cell or fails a probe
-FALLBACK_TARGETS = [1.0 - 1e-13, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53, 1e-8, 1e-12, 1e-17, 1e-300, 5e-324]
-
-
-def test_targets_without_a_certified_cell_match_the_reference():
-    assert [certified_cell(d) for d in FALLBACK_TARGETS] == [None] * len(FALLBACK_TARGETS)
-    assert_same_bits(FALLBACK_TARGETS)
-
-
-def test_targets_that_tie_with_a_cell_end_match_the_reference():
-    # the closed form at seeded multiples of 2^-30, and the doubles either
-    # side: the root lies on a cell end or within an ulp of one, so no cell
-    # is certified and the bisection evaluates every step
-    rng = random.Random(41)
-    ends = [reference_discord_werner_closed(rng.randrange(1, 2 ** 30) / 2 ** 30) for _ in range(2000)]
-    targets = [t for d in ends for t in (math.nextafter(d, 0.0), d, math.nextafter(d, 1.0))]
-    assert [d for d in targets if certified_cell(d) is not None] == []
-    assert_same_bits(targets)
-
-
-def test_targets_next_to_the_ends_match_the_reference():
-    # within 1e-12 of 1, and below 1e-7, where D' -> 0 and the estimate fails
-    rng = random.Random(37)
-    assert_same_bits([1.0 - 1e-12 * rng.random() for _ in range(2000)] + [1e-7 * rng.random() for _ in range(2000)])
-
-
-def test_seeded_targets_at_every_scale_match_the_reference():
-    # log-uniform distances from 0 and from 1, so the windows meet every
-    # slope and curvature the curve has
-    rng = random.Random(31)
-    targets = [10.0 ** rng.uniform(-20.0, 0.0) for _ in range(50_000)]
-    targets += [1.0 - 10.0 ** rng.uniform(-16.0, 0.0) for _ in range(50_000)]
-    assert_same_bits(targets)
-
-
 def test_the_axis_evaluates_few_closed_forms_per_target(monkeypatch):
-    # the plain bisection evaluates 19 per target on this axis
-    correlations._shared_midpoint_values()
-    closed = correlations.discord_werner_closed
-    calls = 0
+    # 2.92 closed forms per target on this axis, and at most 9 where the
+    # closed form's last-ulp noise walks c down an ulp or two at a time; each
+    # interior target also takes two slopes, one log1p each
+    correlations._discord_table()
+    counted = {"discord_werner_closed": 0, "_discord_slope": 0}
 
-    def counted(c):
-        nonlocal calls
-        calls += 1
-        return closed(c)
+    def counting(name):
+        function = getattr(correlations, name)
 
-    monkeypatch.setattr(correlations, "discord_werner_closed", counted)
-    axis = np.linspace(0.0, 1.0, 25001).tolist()
-    for d in axis:
+        def call(c):
+            counted[name] += 1
+            return function(c)
+
+        return call
+
+    for name in counted:
+        monkeypatch.setattr(correlations, name, counting(name))
+    closed, slopes = [], []
+    for d in np.linspace(0.0, 1.0, 25001).tolist():
+        counted.update(dict.fromkeys(counted, 0))
         discord_to_c(d)
-    assert calls <= 2.2 * len(axis)
+        closed.append(counted["discord_werner_closed"])
+        slopes.append(counted["_discord_slope"])
+    assert sum(closed) <= 2.95 * len(closed)
+    assert max(closed) <= 9
+    assert max(slopes) == 2
 
 
-def exact_discord(c: float) -> Decimal:
-    """The Werner discord at the float ``c``, to 40 digits."""
+def high_precision_discord(c: float) -> Decimal:
+    """D at the float c from its three logarithms, with the precision raised
+    by the digits their cancellation to c^2 costs."""
     with localcontext() as ctx:
-        ctx.prec = 40
-        x = Decimal(c)
-        ln2 = Decimal(2).ln()
+        ctx.prec = PREC + 2 * max(0, -math.floor(math.log10(c)))
+        return log_form(Decimal(c))[0] / Decimal(2).ln()
 
-        def xlog2(y: Decimal) -> Decimal:
-            return y * y.ln() / ln2 if y > 0 else Decimal(0)
 
-        return xlog2(1 - x) / 4 - xlog2(1 + x) / 2 + xlog2(1 + 3 * x) / 4
+def test_the_closed_form_keeps_its_relative_error_below_the_series_bound():
+    # log-uniform c down to 1e-150, below which c^2 underflows; the 40-digit
+    # series of exact_discord is checked on the same points
+    rng = random.Random(47)
+    cs = [10.0 ** rng.uniform(-150.0, math.log10(SERIES_BOUND)) for _ in range(300)]
+    cs += [1e-9, math.nextafter(SERIES_BOUND, 0.0)]
+    for c in cs:
+        exact = high_precision_discord(c)
+        assert abs(exact_discord(c) - exact) <= exact * Decimal("1e-38"), c
+        assert abs(Decimal(discord_werner_closed(c)) - exact) <= exact * Decimal(SERIES_ERROR_BOUND), c
+
+
+def test_the_closed_form_no_longer_vanishes_near_zero():
+    # the three x log2 x terms cancel to about 1e-16 here, so their sum
+    # alone comes out 0 or negative
+    assert discord_werner_closed(1e-9) == pytest.approx(1e-18 / math.log(2.0), rel=1e-8)
+    assert discord_werner_closed(1e-150) > 0.0
 
 
 def test_the_closed_form_error_is_a_hundredth_of_its_bound():
@@ -259,26 +257,79 @@ def test_the_closed_form_error_is_a_hundredth_of_its_bound():
     cs += [1.0 - 2.0 ** -k for k in range(1, 54)]
     cs += [1.0 / 3.0]
     worst = max(abs(Decimal(discord_werner_closed(c)) - exact_discord(c)) for c in cs)
-    assert worst <= Decimal(correlations._CLOSED_FORM_ERROR) / 100
+    assert worst <= Decimal(CLOSED_FORM_ABSOLUTE_BOUND) / 100
 
 
-def exact_slope_and_bend(c: Decimal) -> tuple[Decimal, Decimal]:
-    """D'(c) and D''(c) of the Werner discord, to 40 digits."""
+def _reference_xlog2(x: float) -> float:
+    return x * math.log2(x) if x > 0.0 else 0.0
+
+
+def reference_discord_werner_closed(c: float) -> float:
+    """The log2 form with one helper call per x log2 x term."""
+    return (
+        0.25 * _reference_xlog2(1.0 - c)
+        - 0.5 * _reference_xlog2(1.0 + c)
+        + 0.25 * _reference_xlog2(1.0 + 3.0 * c)
+    )
+
+
+def test_flat_closed_form_matches_the_reference():
+    # from the series bound up, discord_werner_closed is the log2 form with
+    # its terms written inline, bit for bit
+    rng = random.Random(23)
+    cs = [rng.random() for _ in range(100_000)] + [SERIES_BOUND, 1.0, 1.0 / 3.0, 1.0 - 2.0 ** -53]
+    cs = [c for c in cs if c >= SERIES_BOUND]
+    got = [discord_werner_closed(c).hex() for c in cs]
+    assert got == [reference_discord_werner_closed(c).hex() for c in cs]
+
+
+def test_the_closed_form_keeps_its_relative_error_above_the_series_bound():
+    cs = [SERIES_BOUND + k * (1.0 - SERIES_BOUND) / 4000 for k in range(4001)]
+    cs += [1.0 - 2.0 ** -k for k in range(1, 54)] + [1.0 / 3.0]
+    worst = max(abs(Decimal(discord_werner_closed(c)) / exact_discord(c) - 1) for c in cs)
+    assert worst <= CLOSED_FORM_ERROR_BOUND
+
+
+def exact_bend(c: float) -> Decimal:
+    """D''(c) of the Werner discord, to 40 digits."""
     with localcontext() as ctx:
-        ctx.prec = 40
-        ln2 = Decimal(2).ln()
-        slope = (-(1 - c).ln() / 4 - (1 + c).ln() / 2 + 3 * (1 + 3 * c).ln() / 4) / ln2
-        bend = (1 / (4 * (1 - c)) - 1 / (2 * (1 + c)) + 9 / (4 * (1 + 3 * c))) / ln2
-        return slope, bend
+        ctx.prec = PREC
+        x = Decimal(c)
+        return (1 / (4 * (1 - x)) - 1 / (2 * (1 + x)) + 9 / (4 * (1 + 3 * x))) / Decimal(2).ln()
 
 
-def test_a_certified_cell_below_the_bound_stops_at_its_centre():
-    # the level-30 brackets are the first within the tolerance, and below
-    # the bound the centre of a cell holding the root is within it of d:
-    # eps + D'(bound) 2^-31 < tol, as D'' > 0 makes D' largest at the bound
-    width = Decimal(correlations._CELL_WIDTH)
-    tol = Decimal(correlations.DISCORD_TO_C_TOL)
-    assert width <= tol < 2 * width
-    slope, _ = exact_slope_and_bend(Decimal(correlations._CENTRE_STOP_BOUND))
-    assert slope * width / 2 + Decimal(correlations._CLOSED_FORM_ERROR) < tol
-    assert all(exact_slope_and_bend(Decimal(k) / 1000)[1] > 0 for k in range(1000))
+def test_the_curve_is_increasing_and_convex_and_below_its_first_term():
+    # the Newton iteration's monotone descent needs D' > 0 and D'' > 0 (the
+    # least D'' is 1.54, near c = 1/2); the first cell's start needs
+    # ln 2 D(c) <= c^2, whose margin c^3 is resolved down to c = 1e-30
+    with localcontext() as ctx:
+        ctx.prec = PREC
+        for c in [k / 2000 for k in range(1, 2000)] + [10.0 ** -k for k in range(2, 31)]:
+            assert exact_slope(c) > 0 and exact_bend(c) > Decimal("1.5"), c
+            assert exact_discord(c) * Decimal(2).ln() <= Decimal(c) ** 2, c
+
+
+def test_the_newton_slope_is_the_derivative():
+    rng = random.Random(53)
+    cs = [rng.random() for _ in range(1000)] + [10.0 ** rng.uniform(-300.0, 0.0) for _ in range(1000)]
+    cs += [1.0 - 10.0 ** rng.uniform(-16.0, 0.0) for _ in range(1000)]
+    for c in cs:
+        assert abs(Decimal(correlations._discord_slope(c)) / exact_slope(c) - 1) <= Decimal("1e-14"), c
+
+
+@pytest.mark.parametrize("points", [101, 2001])
+def test_the_printed_c_column_is_the_root_rounded_to_12_digits(points, tmp_path):
+    # a root within 1.5e-14 of the exact one misprints a row only where the
+    # exact root lies that close to a 12-digit rounding boundary
+    out = tmp_path / "fig3.csv"
+    assert main(["fig3", "--grid-d", str(points), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == points
+    missed = []
+    for d, (_, c_text, *_) in zip(np.linspace(0.0, 1.0, points).tolist()[1:-1], rows[1:-1]):
+        root = exact_root(d, discord_to_c(d))
+        with localcontext() as ctx:
+            ctx.prec = 12
+            if Decimal(c_text) != +root:
+                missed.append((d, c_text, root))
+    assert len(missed) <= 1, missed

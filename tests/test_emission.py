@@ -2,9 +2,11 @@
 
 import math
 import random
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from exact_discord import exact_discord
 
 from corr_radiance.emission import (
     MAX_KL,
@@ -332,6 +334,16 @@ class TestStatisticsTransition:
         geom = DetectionGeometry(PI, 0.31)
         point = find_statistics_transition(geom)
         assert point.discord == pytest.approx(discord_werner_closed(point.c_star), abs=1e-14)
+
+    @pytest.mark.parametrize("offset", [1e-6, 1e-7, 1e-9, 3e-10])
+    def test_discord_at_a_transition_next_to_cos_phi_one_half(self, offset):
+        # sin beta just below 1/3 at kl = pi puts c* near 22 offset, where
+        # the closed form's three x log2 x terms alone would cancel to a
+        # relative error of 5.9e-8 at c* = 2.2e-5 and 5.9e-6 at c* = 2.2e-6
+        point = find_statistics_transition(DetectionGeometry(PI, 1.0 / 3.0 - offset))
+        assert point is not None and point.c_star < 3e-5
+        exact = exact_discord(point.c_star)
+        assert abs(Decimal(point.discord) - exact) <= Decimal("1e-15") * exact
 
     @pytest.mark.parametrize("sin_beta", [0.0, 0.5, 1.0, -1.0, 0.37])
     def test_none_when_no_crossing_exists(self, sin_beta):

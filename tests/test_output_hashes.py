@@ -24,46 +24,46 @@ from corr_radiance.cli import EXIT_OK, EXIT_VERIFY, main
 # (command, format, --grid-d, --grid-b) -> SHA-256 of the written table;
 # None leaves the option at its default of 101
 TABLES = {
-    ("fig2", "csv", 101, 101): "496dcc585ff7d6abef006821b728d0f29830f2e18d54266757b6b4a9f0b6c887",
-    ("fig2", "csv", 401, 401): "ecacaf34ff5e0bed70c162832cb36605b5a8c1662095f763ce2f2e31acd79363",
-    ("fig2", "json", 101, 101): "9ffcabf2e2381cf65ecaa4bbbbf38e0050ac466c5226d033aa0c89ec75c02794",
-    ("fig2", "json", 401, 401): "95125080ecaaafe1d93c5ae5fd62a531e9443f6b2491a4f39b1c5832f5507446",
-    ("fig3", "csv", 101, 101): "205f7c65fdcae5dcb6ab59f5a110d94f626ad18a9078f2a354eeb5e5ab6dba5a",
-    ("fig3", "csv", 401, 401): "e30a6623b17fd832650f3f9af2a18a1153fe625b6862a7abaa150be6dda9d895",
-    ("fig3", "csv", 25001, None): "b818184bb478f9dd93d25c5b9981b82bf61be1111d91171da81c79cb587c1901",
-    ("fig3", "json", 101, 101): "8a9b6fe5f27a9dea0e526b09f6b727dfeaac94e19cd86c4fd9c8bc80edef5853",
-    ("fig3", "json", 401, 401): "dbb749179607b08a3c07e4f2a6e87125ee5aaec281b0e0a4e08e17a9b9bbd74d",
-    ("fig3", "json", 25001, None): "ebedba2d7ba4df206c370d7c665b2825756acac71bf0f60ce4248158ea8ba689",
-    ("fig4", "csv", 101, 101): "cd0400f38e99ac3f0aa26659d0d1d57160ecd2d8cbd3f5be0eeea54b7dd7899b",
-    ("fig4", "csv", 401, 401): "ca584ba23f8b03f6f0ce285943512ac7e7735358c9f94280283960b217b371fb",
-    ("fig4", "json", 101, 101): "6a60d90cd9742c228e31016f92168550cff4785c945f2badc76e904cafe92d93",
-    ("fig4", "json", 401, 401): "117143df6e51f3eceb51359165b06f29d5a1c75624f059ac113464860e5fbe2f",
-    ("fig5", "csv", 101, 101): "cfcc0d570ed41d542fcc45a0e97d98944b6488656052ccd48a10b6b0385f41a3",
-    ("fig5", "csv", 401, 401): "63ae8dc93b53beec0e882a75abcfdf36fe370ed3b16104f2ba0f42fafd108e48",
-    ("fig5", "csv", 25001, None): "aca3be2b7b85841d08a4c080cc35090637517a727f2c2fdd9c28679e0200042a",
-    ("fig5", "json", 101, 101): "00cbcff1d830152637ce207365ac93de194b4d66f77a8e4e581345a492cc05d0",
-    ("fig5", "json", 401, 401): "f315dabc4976657679354926777a4a61a1dee8419579098cb3fe87322eb9197e",
-    ("fig5", "json", 25001, None): "d6a10d434ecd2af4a7fc9414f82c5abf62c91758a5b95fd98347897df14885a1",
+    ("fig2", "csv", 101, 101): "84c13c369d5a042e0e01120920771c6642bfad303368b2e94c5c331fb6a2ed86",
+    ("fig2", "csv", 401, 401): "bf80a950a4c8daf47be134039d4ed0c84efddcf86c80d093f6053e1b4340c45d",
+    ("fig2", "json", 101, 101): "94b71c18575a5814439cb2b8f05cc2ef31ee2a5cbae1bb0ce13aa85483265304",
+    ("fig2", "json", 401, 401): "e5d088915742fff1c147e09b69e6484472928920d8cc9505ca55636f1216df00",
+    ("fig3", "csv", 101, 101): "00f3e163cab3974daad9bd5198d3f3529eeb9f40839f75e4d0e210462c05fefe",
+    ("fig3", "csv", 401, 401): "f4b99b5d3fd26787098689dac321051d3cad39eaa7ac884fabc2076f64d4c816",
+    ("fig3", "csv", 25001, None): "71ef43fb890f3db9cfc873f20beec86b7776012bd48d1fb0f9bfcbdc41f31920",
+    ("fig3", "json", 101, 101): "0c87ecfb0e7541079a16c2ee9b8b6f0ab11111109c25a08f960ec7ea3e55e0b6",
+    ("fig3", "json", 401, 401): "69618224d05e35c5db2f0eccceb5409a0fbeb315d642e14bdfb946e7a2c895bd",
+    ("fig3", "json", 25001, None): "c87f813c5b87363cdd367bd90555ec953f256a2b724ce6cd4c39573a45c552b0",
+    ("fig4", "csv", 101, 101): "0731110b31c798574158247728807e8160eeb58a5bca10496556f9b429eba9de",
+    ("fig4", "csv", 401, 401): "3b7afe214a32a6177b4de0db47c60810207b0dd852074dd80479a2c84ed30a70",
+    ("fig4", "json", 101, 101): "429d9b921d1b47568b728119715d71196985d677c1ebb6a269df97d5fb5c0dab",
+    ("fig4", "json", 401, 401): "b81c37b29ab67cbfe3f17f3ee7f163b9c93983ca8575ffcbc4a28a3cef7c3422",
+    ("fig5", "csv", 101, 101): "99f1a9351bce903c0a6e10a729ba264fab0913a28abb9f8cbd4a4259fc4ad734",
+    ("fig5", "csv", 401, 401): "d1eba146be017f532580955e3d1e61247c6bf8e558e8456f15948b3a95db073f",
+    ("fig5", "csv", 25001, None): "a4a214e10261952b102cd8dcfbbd04f235afb5af758e3599b34884358f3ffe50",
+    ("fig5", "json", 101, 101): "279f9b6b24f38d707c66a87d3f399e2ae62fff65fb2bb7ea6f21b37f4bc2a286",
+    ("fig5", "json", 401, 401): "2a1f72062d2fc87fd6cf071280a1c2c4935455bb5f28e9c330b155d89b805102",
+    ("fig5", "json", 25001, None): "b53b78c7f648afe661e28fa6470d04083dd12c96ffe88daaa166317036b0f3dd",
     ("transition", "csv", 101, 101): "83177ef92d3bdb758c2368b37fc5bba14df0db47a83e3dcc85eb6c738ecc71a4",
     ("transition", "csv", 401, 401): "83177ef92d3bdb758c2368b37fc5bba14df0db47a83e3dcc85eb6c738ecc71a4",
     ("transition", "json", 101, 101): "add1ed26c42278358ce5df4fa1d8ce84dbd925f9d4892e2377e2825557d70eb8",
     ("transition", "json", 401, 401): "b0cd7b1022e460a8396d57026adb6c4075bb6025763e997c3b0a2b195fcb8edc",
-    ("verify", "csv", 101, 101): "73355af59b9f9c4e41df1f2f426066d6cd1ed6bbc90153aa78987ddedbdc0292",
-    ("verify", "csv", 401, 401): "73355af59b9f9c4e41df1f2f426066d6cd1ed6bbc90153aa78987ddedbdc0292",
-    ("verify", "json", 101, 101): "e1ab2e4c86be4f4ab2490b36200a0ed17d9b98fc43fba57bc89e204036e686a4",
-    ("verify", "json", 401, 401): "e67b40d49fcc71d02ea50b59286a746541d60cd3bde5eb5e642760c5ab4b7238",
+    ("verify", "csv", 101, 101): "4b0f0d554be04bca8df2e6cb33f1b61d5b4b2017c1754041c6071103331086d0",
+    ("verify", "csv", 401, 401): "4b0f0d554be04bca8df2e6cb33f1b61d5b4b2017c1754041c6071103331086d0",
+    ("verify", "json", 101, 101): "8536931134a6ce7a4f13b17381f8b4d034a8b6dce98b68e2b232c24e30818d6b",
+    ("verify", "json", 401, 401): "1e1c4de79285717874358cd6adf757d0dec039f3d9a2d9bf08e4fd679e49fb5a",
 }
 
 # --format -> SHA-256 of the table of ``verify --tol-scale 0``
 FAILING_VERIFY_TABLES = {
-    "csv": "a0acd61b71512900b07ae8b77f20d39d1c795bdc9bd590971f7f1d09f0138040",
-    "json": "34b6c33672cf785b3e8889996f291f9f443d9b1e0316ad33a99262a4a0a21f6e",
+    "csv": "09879b597c7823f0b16cf10f39d810c845d6c01e329d37664781fada2be5aadc",
+    "json": "d04ec6c8956d5f5dc2b43c58667ecabc83612aa9ad7a863b5e8dfb374e1edf72",
 }
 
 # --tol-scale -> (exit status, SHA-256 of what ``verify`` prints)
 VERIFY_STDOUT = {
-    "1": (EXIT_OK, "371f2b663f3a219eadee7c50f3a1ec8821fc046e7c0abdee00e0a90dfde02eb5"),
-    "0": (EXIT_VERIFY, "b42c8a80f67eaa6319d55b9affd72e74582ba16ac5dceef2d59c993540ca8164"),
+    "1": (EXIT_OK, "5e26344d621e712f6e6e450e6eb021b33403f82c52d45538268a4ded4845bdfe"),
+    "0": (EXIT_VERIFY, "b94f7d4e646fb28843aebfb1c917242643e22d51e772380b21d499f9cfedbb01"),
 }
 
 

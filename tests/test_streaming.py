@@ -138,8 +138,8 @@ def test_main_renders_at_most_one_block_at_a_time(fmt, tmp_path, monkeypatch, ca
 
 # -- the streamed standard output ---------------------------------------------
 
-FIG4_JSON_401 = "117143df6e51f3eceb51359165b06f29d5a1c75624f059ac113464860e5fbe2f"
-FIG5_CSV_25001 = "aca3be2b7b85841d08a4c080cc35090637517a727f2c2fdd9c28679e0200042a"
+FIG4_JSON_401 = "b81c37b29ab67cbfe3f17f3ee7f163b9c93983ca8575ffcbc4a28a3cef7c3422"
+FIG5_CSV_25001 = "a4a214e10261952b102cd8dcfbbd04f235afb5af758e3599b34884358f3ffe50"
 CLI = "import sys; from corr_radiance.cli import main; sys.exit(main())"
 
 
@@ -241,7 +241,7 @@ def test_the_largest_plane_table_is_built_and_rendered_block_by_block():
     # its columns whole; here at 0.18 MiB, and rendering a block at 1.6 MiB
     # (CSV) and 2.2 MiB (JSON), its text included (tracemalloc, CPython 3.11,
     # numpy 2.4)
-    discord_to_c(0.5)  # the bisection's shared table is built once per process
+    discord_to_c(0.5)  # the inversion's start table is built once per process
     cfg = RunConfig("fig4", grid_d=2048, grid_b=2048)
     tracemalloc.start()
     try:
@@ -276,7 +276,7 @@ def test_an_axis_table_holds_only_its_axis(command):
     # holding their columns whole, cmd_fig3/cmd_fig5 peaked at 3.0/3.6 MiB at
     # 2**16 rows; a table that makes each block from the axis holds D and c,
     # 1.0 MiB (tracemalloc, CPython 3.11, numpy 2.4)
-    discord_to_c(0.5)  # the bisection's shared table is built once per process
+    discord_to_c(0.5)  # the inversion's start table is built once per process
     rows = 2**16
     tracemalloc.start()
     try:

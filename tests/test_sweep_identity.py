@@ -9,16 +9,13 @@ must write exactly the same bytes.
 
 import json
 import math
-import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from corr_radiance import verify
 from corr_radiance.cli import _BLOCK_ROWS, RunConfig, main
-from corr_radiance.correlations import discord_to_c, discord_to_c_array, discord_werner_closed
+from corr_radiance.correlations import discord_to_c
 from corr_radiance.emission import (
     STATISTICS,
     DetectionGeometry,
@@ -241,7 +238,7 @@ def test_verify_table_is_byte_identical(fmt, suite_results, tmp_path, monkeypatc
 @pytest.mark.parametrize("kl", KLS)
 def test_emission_kernel_is_the_scalar_kernel_bit_for_bit(kl):
     # 12-digit output hides most last-ulp differences, so compare the values
-    c = discord_to_c_array(np.linspace(0.0, 1.0, 101))
+    c = np.array([discord_to_c(d) for d in np.linspace(0.0, 1.0, 101).tolist()])
     geoms = [DetectionGeometry(kl, float(s)) for s in np.linspace(-1.0, 1.0, 101)]
     e = werner_emission(c[:, None], np.array([[math.cos(g.phase) for g in geoms]]))
     for i, ci in enumerate(c.tolist()):
@@ -253,44 +250,3 @@ def test_emission_kernel_is_the_scalar_kernel_bit_for_bit(kl):
             assert math.isnan(e.g2[i, j]) if g2 is None else e.g2[i, j] == g2
             assert STATISTICS[e.statistics[i, j]].value == _statistics(g2)
             assert classify(intensity, g2).statistics.value == _statistics(g2)
-
-
-# ---------------------------------------------------------------------------
-# the discord-axis inversion against the scalar bisection
-# ---------------------------------------------------------------------------
-
-def _assert_inversion_matches(n):
-    d = np.linspace(0.0, 1.0, n)
-    expected = np.array([discord_to_c(float(x)) for x in d])
-    assert discord_to_c_array(d).tobytes() == expected.tobytes()
-
-
-@settings(max_examples=20, deadline=None, database=None)
-@given(st.integers(min_value=2, max_value=5000))
-def test_array_inversion_is_the_scalar_bisection_bit_for_bit(n):
-    _assert_inversion_matches(n)
-
-
-def test_array_inversion_on_the_long_axis():
-    _assert_inversion_matches(25001)
-
-
-def test_array_inversion_on_targets_hit_exactly_by_a_bisection_step():
-    # the residual at that step is 0 and the root lies on a cell end, so a
-    # probe fails and the scalar route bisects from the table cell
-    midpoints = np.arange(1, 2**12, 2) / 2**12
-    d = np.array([discord_werner_closed(m) for m in midpoints.tolist()])
-    expected = np.array([discord_to_c(x) for x in d.tolist()])
-    assert discord_to_c_array(d).tobytes() == expected.tobytes()
-
-
-def test_array_inversion_rejects_targets_outside_the_range():
-    for bad in (-1e-3, 1.0 + 1e-12, math.nan):
-        with pytest.raises(ValueError):
-            discord_to_c_array(np.array([0.5, bad]))
-
-
-@pytest.mark.parametrize("shape", [(), (2, 2), (1, 3)])
-def test_array_inversion_rejects_targets_that_are_not_1d(shape):
-    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
-        discord_to_c_array(np.full(shape, 0.5))
