@@ -32,7 +32,7 @@ class DiscordResult:
     value: float
     optimizer_angles: tuple[float, float]
     iterations: int
-    converged: bool = True
+    converged: bool
 
 
 _LN2 = math.log(2.0)
@@ -83,16 +83,19 @@ def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.nd
     """Average post-measurement entropy of the unmeasured atom, one value per
     measurement direction (theta, phi) of atom ``measured``.
 
-    ``rho4`` is one (4, 4) state, shared by every direction, or an (n, 4, 4)
-    stack with one state per direction.  In the Pauli coefficients
+    ``rho4`` is a (..., 4, 4) array of states whose leading shape broadcasts
+    against the directions' shape, as numpy broadcasts: one (4, 4) state is
+    shared by every direction, an (n, 4, 4) stack gives each of n directions
+    its own state, and a (k, 1, 4, 4) stack against (k, m) angles gives each
+    row its state.  In the Pauli coefficients
     c_ij = tr(rho sigma_i x sigma_j), with a the unmeasured atom's Bloch
     vector, b the measured atom's and T their correlation matrix (unmeasured
     x measured), the outcome +-n has probability p = (1 +- b.n)/2 and leaves
     the eigenvalues 1/2 +- |a +- T n|/(4p) (Luo, PRA 77, 042303).  Every step
-    is an elementwise real ufunc on each row alone, written out term by term,
-    so a row's value does not depend on the rest of the batch, bit for bit;
-    ``discord_numerics`` relies on that when it batches the pattern searches
-    of all its members.
+    is an elementwise real ufunc on each value alone, written out term by
+    term, so a value does not depend on the rest of the batch, bit for bit;
+    ``discord_numerics`` relies on that when it evaluates the moves of all
+    its members in one call.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
@@ -106,7 +109,7 @@ def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.nd
     b_n = c[..., 0, 1] * n1 + c[..., 0, 2] * n2 + c[..., 0, 3] * n3
     a = [c[..., i, 0] for i in (1, 2, 3)]
     t_n = [c[..., i, 1] * n1 + c[..., i, 2] * n2 + c[..., i, 3] * n3 for i in (1, 2, 3)]
-    total = np.zeros(thetas.shape)
+    total = np.zeros(b_n.shape)
     for sign in (1.0, -1.0):
         p = 0.5 * (1.0 + sign * b_n)
         v1, v2, v3 = (a[i] + sign * t_n[i] for i in range(3))
@@ -149,101 +152,83 @@ def discord_numeric(rho: DensityMatrix, measured: int = 2) -> DiscordResult:
 def discord_numerics(stack, measured: int = 2) -> list[DiscordResult]:
     """``discord_numeric`` of each state of a (k, 4, 4) stack, such as
     ``x_states`` returns, bit for bit: one ``DiscordResult`` per member.
-
-    Each member's grid scan is one ``_conditional_entropy`` call over the
-    whole grid.  The members' pattern searches then run in lockstep:
-    each round evaluates the pending moves of every unfinished member in one
-    ``_conditional_entropy`` call, one state per row, while each member keeps
-    its own step, best point, stop test and evaluation count.
-    """
+    ``_minimize`` runs the measurement searches of all members together."""
     if measured not in (1, 2):
         raise ValueError(f"measured atom must be 1 or 2, got {measured}")
     states = two_atom_stack(stack, "discord")
     s_total = [eigenvalue_entropy(lam) for lam in np.linalg.eigvalsh(states)]
     s_measured = [eigenvalue_entropy(lam) for lam in np.linalg.eigvalsh(partial_traces(states, measured))]
+    optima = zip(*(a.tolist() for a in _minimize(states, measured)))
+    return [
+        DiscordResult(s_m - s_t + f, (t, p), DISCORD_GRID * DISCORD_GRID + 4 * sweeps, converged)
+        for s_m, s_t, (f, t, p, sweeps, converged) in zip(s_measured, s_total, optima)
+    ]
 
+
+# the moves of a sweep in the order they are tried, in units of (step_t, step_p)
+_MOVES_T = np.array([1.0, -1.0, 0.0, 0.0])
+_MOVES_P = np.array([0.0, 0.0, 1.0, -1.0])
+
+
+def _minimize(states: np.ndarray, measured: int):
+    """The arrays ``f, t, p, sweeps, converged``: the least conditional
+    entropy of each member of ``states`` found, its angles (theta, phi), the
+    sweeps of its pattern search and whether that search converged.
+
+    Each member's grid scan is one ``_conditional_entropy`` call; a (k, 4096)
+    call for the whole stack would hold k times its temporaries.  The
+    pattern searches from the grid optima then run together.  A sweep tries
+    the four moves in turn, each from the best point so far, and takes every
+    one that improves.  Each round evaluates the four moves from the best
+    point of every member still searching (``live``) in one call, and each
+    member takes its first improving move at or after ``first``, the first
+    move not yet tried in this sweep: the path of trying one move at a
+    time.  The sweep ends where no move from ``first`` on improves or the
+    last move did.
+    """
     theta_axis = np.linspace(0.0, math.pi, DISCORD_GRID)
     phi_axis = np.linspace(0.0, 2.0 * math.pi, DISCORD_GRID, endpoint=False)
     # theta-major layout so the first minimum is the lexicographically lowest
     tt, pp = np.meshgrid(theta_axis, phi_axis, indexing="ij")
     thetas, phis = tt.ravel(), pp.ravel()
-    searches = []
-    for rho4 in states:
+    f = np.empty(len(states))
+    k = np.empty(len(states), dtype=int)
+    for j, rho4 in enumerate(states):
         values = _conditional_entropy(rho4, measured, thetas, phis)
-        k = int(np.argmin(values))
-        searches.append(_pattern_search(float(values[k]), float(thetas[k]), float(phis[k])))
-    optima = _in_lockstep(searches, states, measured)
-    return [
-        DiscordResult(s_m - s_t + best_f, angles, evaluations, converged)
-        for s_m, s_t, (best_f, angles, evaluations, converged) in zip(s_measured, s_total, optima)
-    ]
-
-
-def _pattern_search(best_f: float, best_t: float, best_p: float):
-    """One member's pattern search with step halving from its grid optimum.
-
-    A generator: it yields the angles ``(thetas, phis)`` of each batch of
-    moves, is sent their values, and returns ``(best_f, (best_t, best_p),
-    evaluations, converged)``.
-    """
-    evaluations = DISCORD_GRID * DISCORD_GRID
-    step_t = math.pi / DISCORD_GRID
-    step_p = 2.0 * math.pi / DISCORD_GRID
-    converged = False
-    for _ in range(DISCORD_MAX_DEPTH):
-        before = best_f
-        moves = ((step_t, 0.0), (-step_t, 0.0), (0.0, step_p), (0.0, -step_p))
-        evaluations += len(moves)
-        # Each move steps from the best point so far.  The moves left in the
-        # sweep are evaluated in one batch; the first that improves is taken
-        # and the moves after it are evaluated again from the new point.
-        while moves:
-            ts = [min(max(best_t + dt, 0.0), math.pi) for dt, _ in moves]
-            ps = [(best_p + dp) % (2.0 * math.pi) for _, dp in moves]
-            fs = yield ts, ps
-            better = np.flatnonzero(fs < best_f)
-            if better.size == 0:
-                break
-            k = int(better[0])
-            best_f, best_t, best_p = float(fs[k]), ts[k], ps[k]
-            moves = moves[k + 1:]
-        gain = before - best_f
-        if gain > 0.0:
-            if gain < DISCORD_TOL:
-                converged = True
-                break
-        else:
-            step_t *= 0.5
-            step_p *= 0.5
-            if step_t < 1e-9:
-                converged = True
-                break
-    return best_f, (best_t, best_p), evaluations, converged
-
-
-def _in_lockstep(searches: list, states: np.ndarray, measured: int) -> list:
-    """Run the ``_pattern_search`` generators of the members of ``states``
-    together and return what each one returns.  Each round sends every
-    unfinished search the values of the moves it yielded, all of them
-    computed by one ``_conditional_entropy`` call."""
-    results = [None] * len(searches)
-    pending = {j: next(search) for j, search in enumerate(searches)}
-    while pending:
-        members = list(pending)
-        sizes = [len(pending[j][0]) for j in members]
-        values = _conditional_entropy(
-            states[np.repeat(members, sizes)],
-            measured,
-            [t for j in members for t in pending[j][0]],
-            [p for j in members for p in pending[j][1]],
-        )
-        for j, fs in zip(members, np.split(values, np.cumsum(sizes)[:-1])):
-            try:
-                pending[j] = searches[j].send(fs)
-            except StopIteration as done:
-                results[j] = done.value
-                del pending[j]
-    return results
+        k[j] = np.argmin(values)
+        f[j] = values[k[j]]
+    t, p = thetas[k], phis[k]
+    step_t = np.full(f.shape, math.pi / DISCORD_GRID)
+    step_p = np.full(f.shape, 2.0 * math.pi / DISCORD_GRID)
+    sweeps = np.zeros(f.shape, dtype=int)
+    first = np.zeros(f.shape, dtype=int)
+    before = f.copy()
+    converged = np.zeros(f.shape, dtype=bool)
+    live = sweeps < DISCORD_MAX_DEPTH
+    while live.any():
+        j = np.flatnonzero(live)
+        ts = np.clip(t[j, None] + step_t[j, None] * _MOVES_T, 0.0, math.pi)
+        ps = (p[j, None] + step_p[j, None] * _MOVES_P) % (2.0 * math.pi)
+        fs = _conditional_entropy(states[j, None], measured, ts, ps)
+        better = (fs < f[j, None]) & (np.arange(4) >= first[j, None])
+        # the index of the move taken, 4 where none improves
+        move = np.where(better.any(axis=1), better.argmax(axis=1), 4)
+        taken = np.flatnonzero(move < 4)
+        f[j[taken]] = fs[taken, move[taken]]
+        t[j[taken]] = ts[taken, move[taken]]
+        p[j[taken]] = ps[taken, move[taken]]
+        first[j] = move + 1
+        end = j[move >= 3]
+        gain = before[end] - f[end]
+        halve = end[~(gain > 0.0)]
+        step_t[halve] *= 0.5
+        step_p[halve] *= 0.5
+        sweeps[end] += 1
+        converged[end] = np.where(gain > 0.0, gain < DISCORD_TOL, step_t[end] < 1e-9)
+        live[end] = ~converged[end] & (sweeps[end] < DISCORD_MAX_DEPTH)
+        before[end] = f[end]
+        first[end] = 0
+    return f, t, p, sweeps, converged
 
 
 def concurrence_closed(c: float) -> float:

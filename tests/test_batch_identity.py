@@ -1,12 +1,13 @@
 """The verify suites share work without changing a bit of any result.
 
-``discord_numerics`` evaluates the pattern searches of all its members in
-lockstep batches, and ``discord_numeric`` is its stack of one;
+``discord_numerics`` refines the grid optima of all its members with one
+array pattern search, and ``discord_numeric`` is its stack of one;
 ``reference_discord_numeric`` below is the one-move-at-a-time search of one
 state they replace, and all three must agree in every field of
-``DiscordResult``.  They rest on
-``_conditional_entropy`` giving each row of a batch exactly the value of a
-one-row call, whether the rows share one state or each has its own.
+``DiscordResult``, with the sweep cap at its default and lowered so that it
+stops the search.  They rest on ``_conditional_entropy`` giving each value of
+a batch exactly the value of a one-direction call, whether the directions
+share one state or each row has its own.
 ``concurrences_wootters`` gives each member its one-state value.  The
 lowering operators are shared read-only constants, and three suites sweep one
 shared X-state grid.
@@ -161,45 +162,62 @@ def test_an_empty_stack_has_no_optima_and_a_bad_shape_raises():
         discord_numerics(verify._werner_stack([0.5]), 3)
 
 
-def record_measurement_sizes(monkeypatch) -> list[int]:
-    """The number of directions of each ``_conditional_entropy`` call from now on."""
-    sizes = []
+def record_measurement_calls(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+    """The shape of the states and the number of values of each
+    ``_conditional_entropy`` call from now on."""
+    calls = []
     evaluate = correlations._conditional_entropy
 
     def recording(rho4, measured, thetas, phis):
         values = evaluate(rho4, measured, thetas, phis)
-        sizes.append(len(values))
+        calls.append((np.shape(rho4), values.size))
         return values
 
     monkeypatch.setattr(correlations, "_conditional_entropy", recording)
-    return sizes
+    return calls
 
 
-def test_the_cases_reach_every_batch_size(monkeypatch):
-    # a batch of fewer than 4 moves is the re-evaluation after an accepted move;
-    # the scan evaluates all 4,096 grid directions in one call
-    sizes = record_measurement_sizes(monkeypatch)
-    for params in (XStateParams(-0.8, -0.8, -0.6), XStateParams(-1.0, -0.8, -0.8)):
-        discord_numeric(make_x_state(params))
-    assert set(sizes) == {1, 2, 3, 4, 4096}
+def test_each_member_scans_the_grid_once_and_each_round_holds_four_moves_per_searching_member(monkeypatch):
+    calls = record_measurement_calls(monkeypatch)
+    stack = np.array([make_x_state(params).mat
+                      for params in (XStateParams(-0.8, -0.8, -0.6), XStateParams(-1.0, -0.8, -0.8))])
+    discord_numerics(stack, 2)
+    assert calls[:2] == [((4, 4), 4096)] * 2
+    # every later round: the n members still searching, each with its 4 moves
+    members = [shape[0] for shape, _ in calls[2:]]
+    assert calls[2:] == [((n, 1, 4, 4), 4 * n) for n in members]
+    assert members[0] == 2 and members == sorted(members, reverse=True)
 
 
 def test_lockstep_rounds_evaluate_the_moves_of_every_member_together(monkeypatch):
-    sizes = record_measurement_sizes(monkeypatch)
+    calls = record_measurement_calls(monkeypatch)
     stack = verify._werner_stack(verify._werner_grid(0.1))
     alone = []
     for rho4 in stack:
-        sizes.clear()
+        calls.clear()
         discord_numeric(DensityMatrix(rho4))
-        alone.append([size for size in sizes if size != 4096])
-    sizes.clear()
+        alone.append([size for _, size in calls if size != 4096])
+    calls.clear()
     discord_numerics(stack, 2)
+    sizes = [size for _, size in calls]
     # one scan of the whole grid per member, and each round holds the next
-    # batch of moves of every member still searching
+    # moves of every member still searching
     assert sizes.count(4096) == 11
     rounds = [size for size in sizes if size != 4096]
     assert len(rounds) == max(map(len, alone))
     assert rounds == [sum(batches[i] for batches in alone if i < len(batches)) for i in range(len(rounds))]
+
+
+@pytest.mark.parametrize("measured", [1, 2])
+@pytest.mark.parametrize("depth", [1, 2, 3, 7])
+def test_the_sweep_cap_stops_each_member_where_the_sequential_search_stops(depth, measured, monkeypatch):
+    monkeypatch.setattr(correlations, "DISCORD_MAX_DEPTH", depth)
+    rhos = [BUILD[kind](value) for _, (kind, value) in STATES]
+    results = discord_numerics(np.array([rho.mat for rho in rhos]), measured)
+    expected = [reference_discord_numeric(rho, measured, max_depth=depth) for rho in rhos]
+    assert [bits(r) for r in results] == [bits(r) for r in expected]
+    # the cap stops every member at 1 to 3 sweeps and all but 4 at 7
+    assert sum(not r.converged for r in results) == (97 if depth == 7 else len(rhos))
 
 
 @st.composite
@@ -246,14 +264,26 @@ row_states = st.one_of(
         min_size=1,
         max_size=12,
     ),
+    more=st.lists(
+        st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi, exclude_max=True)), max_size=4
+    ),
     measured=st.sampled_from([1, 2]),
 )
-def test_conditional_entropy_with_a_state_per_row_gives_each_row_its_one_state_value(rows, measured):
+def test_conditional_entropy_with_a_state_per_row_gives_each_row_its_one_state_value(rows, more, measured):
     states = np.array([rho4 for rho4, _, _ in rows])
     batch = _conditional_entropy(states, measured, [t for _, t, _ in rows], [p for _, _, p in rows])
     assert batch.shape == (len(rows),)
     for value, (rho4, t, p) in zip(batch.tolist(), rows):
         assert value.hex() == float(_conditional_entropy(rho4, measured, t, p)[0]).hex()
+    # (k, 1, 4, 4) states against (k, m) angles: row i holds its own
+    # direction, then the directions of ``more``
+    thetas = np.array([[t, *(t for t, _ in more)] for _, t, _ in rows])
+    phis = np.array([[p, *(p for _, p in more)] for _, _, p in rows])
+    grid = _conditional_entropy(states[:, None], measured, thetas, phis)
+    assert grid.shape == thetas.shape
+    for row, rho4, ts, ps in zip(grid.tolist(), states, thetas.tolist(), phis.tolist()):
+        assert [v.hex() for v in row] == [float(_conditional_entropy(rho4, measured, t, p)[0]).hex()
+                                          for t, p in zip(ts, ps)]
 
 
 def test_stacked_concurrence_equals_one_state_calls():

@@ -20,6 +20,7 @@ import inspect
 import math
 import random
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from exact_discord import (
 )
 
 from corr_radiance import correlations
-from corr_radiance.cli import main
+from corr_radiance import cli
+from corr_radiance.cli import RunConfig, main
+from corr_radiance.emission import UNDEFINED_INTENSITY_TOL
 from corr_radiance.correlations import (
     discord_numeric,
     discord_numerics,
@@ -333,3 +336,43 @@ def test_the_printed_c_column_is_the_root_rounded_to_12_digits(points, tmp_path)
             if Decimal(c_text) != +root:
                 missed.append((d, c_text, root))
     assert len(missed) <= 1, missed
+
+
+def rounded_12(x: Fraction) -> Decimal:
+    """The exact rational x correctly rounded to 12 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 12
+        return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+# misses of the 12-digit correct rounding per column at 101 x 101, as
+# measured; near the dark points the squared bracket 1 - c cos(phase) in the
+# denominator of g2 magnifies the bracket's rounding
+@pytest.mark.parametrize(("command", "column", "bound"), [("fig2", "I", 0), ("fig4", "g2", 2)])
+def test_the_printed_i_and_g2_cells_are_their_exact_values_rounded_to_12_digits(command, column, bound, tmp_path):
+    # the exact value at the double inputs c and cos(phase) that the command
+    # itself computes: I = 1 - c cos(phase), g2 = (1 - c) / I^2
+    cfg = RunConfig(command)
+    c = [Fraction(x) for x in cli._discord_axis(cfg)[1].tolist()]
+    cos_phase = [Fraction(x) for x in cli._sin_beta_axis(cfg)[1].tolist()]
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    index = lines[0].split(",").index(column)
+    tokens = [line.split(",")[index] for line in lines[1:]]
+    assert len(tokens) == len(c) * len(cos_phase)
+    missed, defined = [], 0
+    for row, token in enumerate(tokens):
+        i, j = divmod(row, len(cos_phase))
+        intensity = 1 - c[i] * cos_phase[j]
+        if token == "":
+            # g2 is undefined (0/0) only where the intensity vanishes
+            assert column == "g2" and intensity < Fraction(UNDEFINED_INTENSITY_TOL), row
+            continue
+        defined += 1
+        exact = intensity if column == "I" else (1 - c[i]) / (intensity * intensity)
+        if Decimal(token) != rounded_12(exact):
+            missed.append((row, token, rounded_12(exact)))
+    print(f"{command} {column}: {len(missed)} of {defined} cells miss the 12-digit rounding")
+    assert len(missed) <= bound, missed
+
