@@ -20,9 +20,10 @@ from .qstate import (
     PAULI_Y,
     PAULIS,
     DensityMatrix,
-    eigenvalue_entropy,
     partial_traces,
     two_atom_stack,
+    von_neumann_entropy,
+    xlog2,
 )
 
 @dataclass(frozen=True)
@@ -63,15 +64,10 @@ def discord_werner_closed(c: float) -> float:
         for a in _SERIES:
             s = s * c + a
         return c * (c * s)
-    # 1 + c and 1 + 3c are at least 1; only 1 - c reaches 0, where x log2 x -> 0
+    # 1 + c and 1 + 3c are at least 1; only 1 - c reaches 0, where x log2 x -> 0.
+    # libm's log2, not qstate.xlog2: numpy's log2 moves in the last ulp with SIMD off
     a, b, e = 1.0 - c, 1.0 + c, 1.0 + 3.0 * c
     return 0.25 * (a * log2(a) if a > 0.0 else 0.0) - 0.5 * (b * log2(b)) + 0.25 * (e * log2(e))
-
-
-def _xlog2_array(x: np.ndarray) -> np.ndarray:
-    """x log2 x elementwise, with 0 log 0 = 0 (and 0 for x < 0)."""
-    positive = x > 0.0
-    return np.where(positive, x * np.log2(np.where(positive, x, 1.0)), 0.0)
 
 
 # each (sigma_i x sigma_j)^T, with sigma_0 = I: tr(rho A) is the sum of the
@@ -115,7 +111,7 @@ def _conditional_entropy(rho4: np.ndarray, measured: int, thetas, phis) -> np.nd
         v1, v2, v3 = (a[i] + sign * t_n[i] for i in range(3))
         live = p > 1e-15
         half_gap = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3) / (4.0 * np.where(live, p, 1.0))
-        entropy = -(_xlog2_array(0.5 + half_gap) + _xlog2_array(0.5 - half_gap))
+        entropy = -(xlog2(0.5 + half_gap) + xlog2(0.5 - half_gap))
         total += np.where(live, p * entropy, 0.0)
     return total
 
@@ -156,8 +152,8 @@ def discord_numerics(stack, measured: int = 2) -> list[DiscordResult]:
     if measured not in (1, 2):
         raise ValueError(f"measured atom must be 1 or 2, got {measured}")
     states = two_atom_stack(stack, "discord")
-    s_total = [eigenvalue_entropy(lam) for lam in np.linalg.eigvalsh(states)]
-    s_measured = [eigenvalue_entropy(lam) for lam in np.linalg.eigvalsh(partial_traces(states, measured))]
+    s_total = von_neumann_entropy(states).tolist()
+    s_measured = von_neumann_entropy(partial_traces(states, measured)).tolist()
     optima = zip(*(a.tolist() for a in _minimize(states, measured)))
     return [
         DiscordResult(s_m - s_t + f, (t, p), DISCORD_GRID * DISCORD_GRID + 4 * sweeps, converged)

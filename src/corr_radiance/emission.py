@@ -174,9 +174,7 @@ def g2_oracle(
 
 def g2_closed_werner(c: float, geom: DetectionGeometry) -> float | None:
     """Closed-form Werner g2: (1 - c) / (1 - c cos(kl sin beta))^2, None at 0/0."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"Werner parameter c = {c} lies outside [0, 1]")
-    e = x_emission(-c, -c, geom.cos_phase)
+    e = werner_emission(c, geom.cos_phase)
     return None if e.undefined else float(e.g2)
 
 

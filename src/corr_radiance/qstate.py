@@ -312,20 +312,21 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     return DensityMatrix(_reduce(rho.mat[np.newaxis], keep)[0])
 
 
-def eigenvalue_entropy(eigenvalues) -> float:
-    """Shannon entropy in bits of an eigenvalue list, with 0 log 0 = 0."""
-    lam = np.clip(np.real(np.asarray(eigenvalues)), 0.0, None)
-    lam = lam[lam > 0.0]
-    return float(-np.sum(lam * np.log2(lam)))
+def xlog2(x: np.ndarray) -> np.ndarray:
+    """x log2 x elementwise, with 0 log 0 = 0 (and 0 for x < 0)."""
+    positive = x > 0.0
+    return np.where(positive, x * np.log2(np.where(positive, x, 1.0)), 0.0)
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy -tr(rho log2 rho) in bits.
+def von_neumann_entropy(rho) -> float | np.ndarray:
+    """Entropy -tr(rho log2 rho) in bits: a float for a DensityMatrix or one
+    (n, n) Hermitian array, one value per member for a (k, n, n) stack.
 
-    Accepts a DensityMatrix or a raw Hermitian array.
+    Each member's value is its one-state value, bit for bit.
     """
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    return eigenvalue_entropy(np.linalg.eigvalsh(mat))
+    s = -xlog2(np.linalg.eigvalsh(mat)).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 _SIGMA_MINUS_1 = np.kron(LOWERING, ID2)

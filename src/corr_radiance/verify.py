@@ -163,8 +163,8 @@ def suite_entropy_unitary_invariance() -> SuiteResult:
     dev = 0.0
     for mat in states:
         # U rho U^dagger by einsum too: @ would call the BLAS kernel
-        for rotated in np.einsum("kab,bc,kdc->kad", us, mat, us.conj()):
-            dev = max(dev, abs(von_neumann_entropy(rotated) - von_neumann_entropy(mat)))
+        rotated = np.einsum("kab,bc,kdc->kad", us, mat, us.conj())
+        dev = max(dev, float(np.max(np.abs(von_neumann_entropy(rotated) - von_neumann_entropy(mat)))))
     return _result("entropy invariant under unitaries", dev, 1e-10)
 
 

@@ -44,15 +44,16 @@ from corr_radiance.qstate import (
     partial_trace,
     sigma_minus,
     valid_x_params,
-    von_neumann_entropy,
 )
+from test_qstate import reference_entropy
 
 
 def reference_discord_numeric(rho, measured=2, grid=64, tol=1e-8, max_depth=50):
-    """``discord_numeric`` with one call per move."""
+    """``discord_numeric`` with one call per move, and entropies from
+    ``reference_entropy``, which shares no code with ``von_neumann_entropy``."""
     rho4 = rho.mat
-    s_total = von_neumann_entropy(rho)
-    s_measured = von_neumann_entropy(partial_trace(rho, keep=measured))
+    s_total = reference_entropy(rho4)
+    s_measured = reference_entropy(partial_trace(rho, keep=measured).mat)
     theta_axis = np.linspace(0.0, math.pi, grid)
     phi_axis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     tt, pp = np.meshgrid(theta_axis, phi_axis, indexing="ij")

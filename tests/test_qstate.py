@@ -20,6 +20,7 @@ from corr_radiance.qstate import (
     valid_x_params,
     validate_density,
     von_neumann_entropy,
+    xlog2,
 )
 
 
@@ -175,6 +176,60 @@ class TestEntropy:
             q, r = np.linalg.qr(z)
             u = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
             assert abs(von_neumann_entropy(u @ rho @ u.conj().T) - reference) <= 1e-10
+
+
+def reference_entropy(mat) -> float:
+    """-sum lam log2 lam over the positive eigenvalues of one state, after
+    clipping: the per-state entropy rule kept apart from ``xlog2``."""
+    lam = np.clip(np.linalg.eigvalsh(mat), 0.0, None)
+    lam = lam[lam > 0.0]
+    return float(-np.sum(lam * np.log2(lam)))
+
+
+def _entropy_stack(n, rng):
+    """Random full-rank states, states of rank 1 to n - 1 as V diag(p) V^dagger
+    with zeros in p, and diagonal spectra with -1e-17 roundoff entries."""
+    states = []
+    for rank in range(1, n + 1):
+        for _ in range(6):
+            z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            v, _ = np.linalg.qr(z)
+            p = np.zeros(n)
+            p[:rank] = rng.random(rank)
+            p /= p.sum()
+            states.append((v * p) @ v.conj().T)
+    for rank in range(1, n):
+        p = np.zeros(n)
+        p[:rank] = 1.0 / rank
+        p[rank] = -1e-17
+        states.append(np.diag(p).astype(complex))
+    return np.array(states)
+
+
+class TestEntropyOfStacks:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_each_member_is_its_one_state_value_and_the_reference_rule_bit_for_bit(self, n):
+        stack = _entropy_stack(n, np.random.default_rng(11 + n))
+        values = von_neumann_entropy(stack)
+        assert values.shape == (len(stack),)
+        one_state = [von_neumann_entropy(mat) for mat in stack]
+        assert all(isinstance(v, float) for v in one_state)
+        assert [float(v).hex() for v in values] == [v.hex() for v in one_state]
+        assert [v.hex() for v in one_state] == [reference_entropy(mat).hex() for mat in stack]
+
+    def test_a_density_matrix_gives_a_float(self):
+        rho = make_werner(0.4)
+        assert type(von_neumann_entropy(rho)) is float
+        assert von_neumann_entropy(rho) == von_neumann_entropy(rho.mat[np.newaxis])[0]
+
+    def test_an_empty_stack_gives_no_values(self):
+        assert von_neumann_entropy(np.zeros((0, 4, 4))).shape == (0,)
+
+    def test_xlog2_is_zero_at_zero_and_below_and_x_log2_x_above(self):
+        nonpositive = np.array([0.0, -0.0, -1e-17, -1e-300, -5e-324])
+        assert [v.hex() for v in xlog2(nonpositive).tolist()] == [(0.0).hex()] * 5
+        x = np.array([5e-324, 1e-300, 1e-17, 0.25, 0.5, 1.0 - 1e-16, 1.0, 2.0])
+        assert np.array_equal(xlog2(x), x * np.log2(x))
 
 
 class TestLoweringOperators:
