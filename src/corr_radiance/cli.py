@@ -17,6 +17,7 @@ import stat
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -45,10 +46,10 @@ COMMANDS = ("fig2", "fig3", "fig4", "fig5", "transition", "verify")
 # largest table a command may write; larger grids fail before anything is built.
 # Every figure holds only its axes and makes each block of rows from them, so
 # the limit bounds run time, and memory only through the axes (16 bytes per
-# discord-axis point): at 2**22 rows fig4 (2048 x 2048) peaks at 32-33 MB and
-# takes 6 s for 322 MB of CSV, 13 s for 775 MB of JSON; fig5 peaks at 48 MB
-# at 2**20 rows and 96 MB at 2**22, where it takes 57 s (wait4 max RSS and
-# wall time, 2-core x86-64 VM, output to /dev/null).
+# discord-axis point): at 2**22 rows fig4 (2048 x 2048) peaks at 31.2 MB and
+# takes 3.6 s for 322 MB of CSV, and 31.8 MB and 4-5 s for 775 MB of JSON;
+# fig5 peaks at 48 MB at 2**20 rows and 96 MB at 2**22, where it takes 57 s
+# (wait4 max RSS and wall time, 2-core x86-64 VM, output to /dev/null).
 MAX_TABLE_ROWS = 2**22
 
 @dataclass(frozen=True)
@@ -132,7 +133,8 @@ class Table:
 # ---------------------------------------------------------------------------
 
 def _csv_floats(values: np.ndarray) -> list[str]:
-    tokens = list(map("{:.12g}".format, values.tolist()))
+    # float.__format__ is what "{:.12g}".format calls
+    tokens = list(map(float.__format__, values.tolist(), repeat(".12g")))
     for i in np.flatnonzero(np.isnan(values)):
         tokens[i] = ""
     return tokens
@@ -167,8 +169,8 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return tokens
 
 
-def _cells(col: np.ndarray | Labels, float_tokens, text_token, prefix: str) -> list[str]:
-    """``prefix`` + token of each cell, each distinct value formatted once.
+def _cells(col: np.ndarray | Labels, float_tokens, text_token) -> list[str]:
+    """The token of each cell, each distinct value formatted once.
 
     Floats are told apart by bit pattern, so -0.0 and 0.0 stay distinct.
     """
@@ -179,7 +181,7 @@ def _cells(col: np.ndarray | Labels, float_tokens, text_token, prefix: str) -> l
         bits, index = np.unique(np.asarray(col, dtype=float).view(np.int64),
                                 return_inverse=True)
         tokens = float_tokens(bits.view(np.float64))
-    return np.array(list(map(prefix.__add__, tokens)), dtype=object)[index].tolist()
+    return np.array(tokens, dtype=object)[index].tolist()
 
 
 # rows main renders and writes at a time: the formatted cells and the text
@@ -187,29 +189,44 @@ def _cells(col: np.ndarray | Labels, float_tokens, text_token, prefix: str) -> l
 _BLOCK_ROWS = 1 << 12
 
 
-def _block_cells(table: Table, rows: range, float_tokens, text_token, prefixes):
-    """The rows in ``rows``, made by ``table.block``, as tuples of cell tokens."""
-    return zip(*(_cells(col, float_tokens, text_token, prefix)
-                 for col, prefix in zip(table.block(rows), prefixes)))
+def _text(table: Table, rows: range, float_tokens, text_token,
+          head: str, seps: list[str], tail: str) -> str:
+    """``head``, then the rows in ``rows``, made by ``table.block``, with each
+    cell's token followed by its column's separator in ``seps``, the last
+    separator replaced by ``tail``: one join over one flat list of pieces."""
+    if not rows:
+        return head
+    width = 2 * len(seps)
+    pieces = [head] * (1 + len(rows) * width)
+    for k, col in enumerate(table.block(rows)):
+        pieces[1 + 2 * k::width] = _cells(col, float_tokens, text_token)
+        pieces[2 + 2 * k::width] = [seps[k]] * len(rows)
+    pieces[-1] = tail
+    return "".join(pieces)
 
 
 def render_csv(table: Table, rows: slice = slice(None)) -> str:
     """The CSV text of ``rows`` (default: all), with the header when they
     start at row 0; the texts of consecutive slices join to the whole."""
     rows = table.rows[rows]
-    cells = _block_cells(table, rows, _csv_floats, str, [""] * len(table.columns))
-    lines = [",".join(table.columns)] if rows.start == 0 else []
-    lines.extend(map(",".join, cells))
-    return "\n".join(lines) + "\n" if lines else ""
+    head = ",".join(table.columns) + "\n" if rows.start == 0 else ""
+    seps = [","] * (len(table.columns) - 1) + ["\n"]
+    return _text(table, rows, _csv_floats, str, head, seps, "\n")
 
 
 def render_json(table: Table, cfg: RunConfig, rows: slice = slice(None)) -> str:
     """The part of ``json.dumps(payload, indent=2)`` + "\\n" that holds ``rows``
     (default: all), without building the rows: the opening goes with row 0,
-    the closing with the last row, and a table of no rows is one document."""
+    the closing with the last row, and a table of no rows is one document
+    (an empty slice of a table of some rows is no text)."""
     n = len(table.rows)
     rows = table.rows[rows]
-    parts = []
+    if n and not rows:
+        return ""
+    # each cell is followed by the next cell's key or, ending a row, by the
+    # next row's opening and first key
+    keys = [f"      {json.dumps(name)}: " for name in table.columns]
+    between = "\n    },\n    {\n" + keys[0]
     if rows.start == 0:
         config = {
             "command": cfg.command,
@@ -222,18 +239,12 @@ def render_json(table: Table, cfg: RunConfig, rows: slice = slice(None)) -> str:
         text = json.dumps({"config": config, "rows": []}, indent=2)
         if not n:
             return text + "\n"
-        parts.append(text.removesuffix("[]\n}") + "[\n    {\n")
-    if not rows:
-        return "".join(parts)
-    between = "\n    },\n    {\n"
-    if rows.start > 0:
-        parts.append(between)
-    prefixes = [f"      {json.dumps(name)}: " for name in table.columns]
-    cells = _block_cells(table, rows, _json_floats, json.dumps, prefixes)
-    parts.append(between.join(map(",\n".join, cells)))
-    if rows.stop == n:
-        parts.append("\n    }\n  ]\n}\n")
-    return "".join(parts)
+        head = text.removesuffix("[]\n}") + "[\n    {\n" + keys[0]
+    else:
+        head = between
+    seps = [",\n" + key for key in keys[1:]] + [between]
+    tail = "\n    }\n  ]\n}\n" if rows.stop == n else ""
+    return _text(table, rows, _json_floats, json.dumps, head, seps, tail)
 
 
 def render(table: Table, cfg: RunConfig, rows: slice) -> str:
@@ -242,9 +253,15 @@ def render(table: Table, cfg: RunConfig, rows: slice) -> str:
     return render_csv(table, rows)
 
 
+# characters _emit hands the stream at a time: a text stream encodes what it
+# is given at once, so its bytes of a block are alive one slice at a time
+_WRITE_CHARS = 1 << 16
+
+
 def _emit(text: str, stream) -> None:
     # one call per block, by this name: the benchmark's tracer times it
-    stream.write(text)
+    for start in range(0, len(text), _WRITE_CHARS):
+        stream.write(text[start:start + _WRITE_CHARS])
 
 
 def _write_blocks(table: Table, cfg: RunConfig, stream) -> None:

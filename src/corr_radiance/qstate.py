@@ -322,10 +322,18 @@ def von_neumann_entropy(rho) -> float | np.ndarray:
     """Entropy -tr(rho log2 rho) in bits: a float for a DensityMatrix or one
     (n, n) Hermitian array, one value per member for a (k, n, n) stack.
 
-    Each member's value is its one-state value, bit for bit.
+    Each member's value is its one-state value, bit for bit.  Raises
+    ValueError on a non-finite entry or an eigenvalue below
+    ``EIGENVALUE_FLOOR``, where no entropy is defined.
     """
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    s = -xlog2(np.linalg.eigvalsh(mat)).sum(axis=-1)
+    if not np.isfinite(mat).all():
+        raise ValueError("entropy of a matrix with a non-finite entry")
+    lam = np.linalg.eigvalsh(mat)
+    if np.any(lam < EIGENVALUE_FLOOR):
+        raise ValueError(f"entropy of a matrix with eigenvalue {lam.min():.3g} "
+                         f"below {EIGENVALUE_FLOOR:g}")
+    s = -xlog2(lam).sum(axis=-1)
     return float(s) if s.ndim == 0 else s
 
 

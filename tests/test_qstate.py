@@ -225,6 +225,19 @@ class TestEntropyOfStacks:
     def test_an_empty_stack_gives_no_values(self):
         assert von_neumann_entropy(np.zeros((0, 4, 4))).shape == (0,)
 
+    @pytest.mark.parametrize("mat, match", [
+        ([[math.nan, 0.0], [0.0, 1.0]], "non-finite"),
+        ([[math.inf, 0.0], [0.0, 1.0]], "non-finite"),
+        (np.diag([2.0, -1.0]), "eigenvalue -1 below"),
+        (np.diag([1.0 + 2e-10, -2e-10]), "below -1e-10"),
+    ], ids=["nan", "inf", "negative", "just-below-floor"])
+    def test_a_matrix_with_no_entropy_raises(self, mat, match):
+        with pytest.raises(ValueError, match=match):
+            von_neumann_entropy(mat)
+        stack = np.array([np.eye(2) / 2.0, mat])
+        with pytest.raises(ValueError, match=match):
+            von_neumann_entropy(stack)
+
     def test_xlog2_is_zero_at_zero_and_below_and_x_log2_x_above(self):
         nonpositive = np.array([0.0, -0.0, -1e-17, -1e-300, -5e-324])
         assert [v.hex() for v in xlog2(nonpositive).tolist()] == [(0.0).hex()] * 5

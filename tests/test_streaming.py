@@ -56,6 +56,14 @@ def table_of(n: int) -> Table:
     return Table.of(("x", "y", "label"), (x, y, Labels(np.arange(n) % 3, NAMES)))
 
 
+def one_column_of(n: int) -> Table:
+    """A table of ``n`` rows in one float column: each row's only cell meets
+    the first key, the row separator and, last, the closing."""
+    x = np.linspace(-1.0, 1.0, n)
+    x[::5] = math.nan
+    return Table.of(("x",), (x,))
+
+
 def payload_of(table: Table, cfg: RunConfig) -> dict:
     """What the JSON text encodes: each float read back from its CSV cell."""
     def cell(value):
@@ -109,8 +117,9 @@ def assert_tiles(slices: list[slice], n: int) -> None:
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n", SIZES)
-def test_blocks_join_to_the_whole_table(n, fmt, monkeypatch):
-    table = table_of(n)
+@pytest.mark.parametrize("make", [table_of, one_column_of], ids=["three-columns", "one-column"])
+def test_blocks_join_to_the_whole_table(make, n, fmt, monkeypatch):
+    table = make(n)
     cfg = RunConfig("fig4", format=fmt)
     whole = render_json(table, cfg) if fmt == "json" else render_csv(table)
     seen = recording(monkeypatch)
@@ -134,6 +143,32 @@ def test_main_renders_at_most_one_block_at_a_time(fmt, tmp_path, monkeypatch, ca
     assert main(argv) == EXIT_OK
     assert_tiles(seen, 91 * 91)
     assert capsys.readouterr().out == (tmp_path / "table").read_text()
+
+
+class RecordingWriter(io.TextIOWrapper):
+    """A text stream over bytes in memory that records each text written."""
+
+    def __init__(self):
+        super().__init__(io.BytesIO(), encoding="utf-8", newline="")
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_a_text_stream_is_written_in_slices_of_at_most_64_kib():
+    # a stream encodes each text it is given whole: a block of fig4 JSON rows
+    # is about 0.8 MB, so written whole its encoded copy would be as large
+    cfg = RunConfig("fig4", grid_d=91, grid_b=91, format="json")  # three blocks
+    table = cmd_fig4(cfg)
+    stream = RecordingWriter()
+    cli._write_blocks(table, cfg, stream)
+    stream.flush()
+    whole = render_json(table, cfg)
+    assert max(map(len, stream.writes)) <= 1 << 16
+    assert "".join(stream.writes) == whole
+    assert stream.buffer.getvalue() == whole.encode()
 
 
 # -- the streamed standard output ---------------------------------------------
@@ -238,22 +273,28 @@ def test_a_full_stderr_keeps_the_exit_code(argv, code, launcher, tmp_path):
 def test_the_largest_plane_table_is_built_and_rendered_block_by_block():
     # a plane table holds only its two axes, and a block is made for its own
     # rows: building the 2**22-row fig4 table peaked at 196 MiB when it held
-    # its columns whole; here at 0.18 MiB, and rendering a block at 1.6 MiB
-    # (CSV) and 2.2 MiB (JSON), its text included (tracemalloc, CPython 3.11,
-    # numpy 2.4)
+    # its columns whole; here at 0.18 MiB.  Rendering a block and writing it
+    # to a text stream peaks at 1.0 MiB (CSV) and 1.4 MiB (JSON), its text
+    # included: 1.6 and 2.2 MiB when each row was joined on its own and the
+    # stream encoded the block whole (tracemalloc, CPython 3.11, numpy 2.4)
     discord_to_c(0.5)  # the inversion's start table is built once per process
     cfg = RunConfig("fig4", grid_d=2048, grid_b=2048)
-    tracemalloc.start()
-    try:
-        table = cmd_fig4(cfg)
-        assert tracemalloc.get_traced_memory()[1] < 1 << 20
-        middle = slice(len(table.rows) // 2 + 1000, len(table.rows) // 2 + 1000 + _BLOCK_ROWS)
-        for render in (lambda: render_csv(table, middle), lambda: render_json(table, cfg, middle)):
-            tracemalloc.reset_peak()
-            assert render().count("\n") >= _BLOCK_ROWS
-            assert tracemalloc.get_traced_memory()[1] < 4 << 20
-    finally:
-        tracemalloc.stop()
+    with io.TextIOWrapper(open(os.devnull, "wb"), encoding="utf-8", newline="") as stream:
+        tracemalloc.start()
+        try:
+            table = cmd_fig4(cfg)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            middle = slice(len(table.rows) // 2 + 1000, len(table.rows) // 2 + 1000 + _BLOCK_ROWS)
+            for render in (lambda: render_csv(table, middle),
+                           lambda: render_json(table, cfg, middle)):
+                tracemalloc.reset_peak()
+                text = render()
+                cli._emit(text, stream)
+                assert text.count("\n") >= _BLOCK_ROWS
+                del text
+                assert tracemalloc.get_traced_memory()[1] < 2 << 20
+        finally:
+            tracemalloc.stop()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
